@@ -29,6 +29,9 @@ CacheConfig::validate() const
     const std::uint64_t sets = numSets();
     if (sets == 0 || !std::has_single_bit(sets))
         fatal("cache '", name, "': set count must be a power of two");
+    // Cache::lookup folds the way match into one 64-bit mask.
+    if (associativity > 64)
+        fatal("cache '", name, "': associativity must be at most 64");
 }
 
 double
@@ -44,130 +47,55 @@ Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
     config_.validate();
-    numSets_ = config_.numSets();
+    const std::uint64_t sets = config_.numSets();
+    ways_ = config_.associativity;
     lineShift_ = std::countr_zero(
         static_cast<std::uint64_t>(config_.lineBytes));
-    lines_.assign(numSets_ * config_.associativity, Line{});
+    setShift_ = std::countr_zero(sets);
+    setMask_ = sets - 1;
+    reset();
 }
 
 void
 Cache::reset()
 {
-    lines_.assign(numSets_ * config_.associativity, Line{});
+    const std::size_t lines = (setMask_ + 1) * ways_;
+    keys_.assign(lines, 0);
+    stamps_.assign(lines, 0);
+    dirty_.assign(lines, 0);
     useClock_ = 0;
     stats_ = CacheStats{};
 }
 
-Cache::Line *
-Cache::findLine(std::uint64_t set, std::uint64_t tag)
-{
-    Line *base = &lines_[set * config_.associativity];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    }
-    return nullptr;
-}
-
-Cache::Line *
-Cache::victimLine(std::uint64_t set)
-{
-    Line *base = &lines_[set * config_.associativity];
-    Line *victim = &base[0];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (!base[way].valid)
-            return &base[way];
-        if (base[way].lastUse < victim->lastUse)
-            victim = &base[way];
-    }
-    return victim;
-}
-
-std::uint64_t
-Cache::lineAddrOf(std::uint64_t set, std::uint64_t tag) const
-{
-    return ((tag * numSets_) + set) << lineShift_;
-}
-
 CacheAccessResult
-Cache::insert(std::uint64_t set, std::uint64_t tag, bool dirty)
+Cache::replace(const Lookup &found, bool dirty)
 {
+    // Lowest-index minimum stamp: the first empty way (stamp 0), else
+    // the least recently used.  Selects, not jumps: the winner's
+    // position is random.
+    const std::uint64_t base = found.set * ways_;
+    const std::uint64_t *stamps = stamps_.data() + base;
+    std::uint64_t oldest = stamps[0];
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        const bool older = stamps[w] < oldest;
+        oldest = older ? stamps[w] : oldest;
+        victim = older ? w : victim;
+    }
+    const std::uint64_t way = base + victim;
+
+    // Empty ways are never dirty, so only a valid victim writes back.
     CacheAccessResult result;
-    Line *victim = victimLine(set);
-    if (victim->valid && victim->dirty) {
+    if (dirty_[way]) {
+        const std::uint64_t tag = keys_[way] & ~kValid;
         result.writeback = true;
-        result.writebackAddr = lineAddrOf(set, victim->tag);
+        result.writebackAddr = ((tag << setShift_) | found.set)
+                               << lineShift_;
         ++stats_.writebacks;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    victim->lastUse = ++useClock_;
-    return result;
-}
-
-CacheAccessResult
-Cache::access(std::uint64_t addr, bool is_write)
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
-
-    if (Line *line = findLine(set, tag)) {
-        line->lastUse = ++useClock_;
-        if (is_write)
-            line->dirty = true;
-        CacheAccessResult result;
-        result.hit = true;
-        return result;
-    }
-
-    if (is_write)
-        ++stats_.writeMisses;
-    else
-        ++stats_.readMisses;
-
-    // Write-allocate: fetch the line, mark dirty on stores.
-    CacheAccessResult result = insert(set, tag, is_write);
-    result.hit = false;
-    return result;
-}
-
-bool
-Cache::probe(std::uint64_t addr) const
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-    const Line *base = &lines_[set * config_.associativity];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return true;
-    }
-    return false;
-}
-
-CacheAccessResult
-Cache::fill(std::uint64_t addr, bool dirty)
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-
-    if (Line *line = findLine(set, tag)) {
-        line->lastUse = ++useClock_;
-        line->dirty = line->dirty || dirty;
-        CacheAccessResult result;
-        result.hit = true;
-        return result;
-    }
-    CacheAccessResult result = insert(set, tag, dirty);
-    result.hit = false;
+    keys_[way] = found.key;
+    stamps_[way] = ++useClock_;
+    dirty_[way] = dirty;
     return result;
 }
 

@@ -12,6 +12,7 @@
 #ifndef MCDVFS_MEM_CACHE_HH
 #define MCDVFS_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +36,8 @@ struct CacheConfig
     std::uint64_t numSets() const;
 
     /**
-     * Validate the geometry (power-of-two line size and set count).
+     * Validate the geometry (power-of-two line size and set count, at
+     * most 64 ways).
      * @throws FatalError on inconsistent geometry.
      */
     void validate() const;
@@ -67,7 +69,13 @@ struct CacheStats
     double missRatio() const;
 };
 
-/** One level of set-associative cache with true-LRU replacement. */
+/**
+ * One level of set-associative cache with true-LRU replacement.
+ *
+ * The way state is kept as structure-of-arrays and the lookup matches
+ * all ways of a set at once into a bit mask, so a hit costs no
+ * data-dependent branch (docs/PERF.md "Characterization loop").
+ */
 class Cache
 {
   public:
@@ -81,16 +89,31 @@ class Cache
      * @param is_write store (marks the line dirty)
      * @return hit/miss and any writeback generated
      */
-    CacheAccessResult access(std::uint64_t addr, bool is_write);
+    CacheAccessResult
+    access(std::uint64_t addr, bool is_write)
+    {
+        const Lookup found = lookup(addr);
+        const bool miss = found.ways == 0;
+        stats_.writes += is_write;
+        stats_.reads += !is_write;
+        stats_.writeMisses += is_write & miss;
+        stats_.readMisses += !is_write & miss;
+        // Write-allocate: a store miss fetches the line dirty.
+        return touch(found, is_write);
+    }
 
     /**
      * Install a line without an allocate-triggering access (used for
      * writeback-allocation into the next level).
      */
-    CacheAccessResult fill(std::uint64_t addr, bool dirty);
+    CacheAccessResult
+    fill(std::uint64_t addr, bool dirty)
+    {
+        return touch(lookup(addr), dirty);
+    }
 
     /** Check for a line without touching LRU state or counters. */
-    bool probe(std::uint64_t addr) const;
+    bool probe(std::uint64_t addr) const { return lookup(addr).ways != 0; }
 
     /** Reset contents and statistics. */
     void reset();
@@ -105,30 +128,70 @@ class Cache
     const CacheConfig &config() const { return config_; }
 
   private:
-    struct Line
+    /** Where an address maps and which ways of its set hold it. */
+    struct Lookup
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;  ///< LRU timestamp
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t set;
+        std::uint64_t key;   ///< kValid | tag
+        std::uint64_t ways;  ///< bit w set when way w holds the key
     };
 
-    /** Find the line holding @c tag in @c set, or nullptr. */
-    Line *findLine(std::uint64_t set, std::uint64_t tag);
+    Lookup
+    lookup(std::uint64_t addr) const
+    {
+        const std::uint64_t line_addr = addr >> lineShift_;
+        Lookup found;
+        found.set = line_addr & setMask_;
+        found.key = kValid | (line_addr >> setShift_);
+        // Compare every way and fold the results into a mask: no exit
+        // on the first match, whose position is random.
+        const std::uint64_t *keys = keys_.data() + found.set * ways_;
+        std::uint64_t ways = 0;
+        for (std::uint32_t w = ways_; w-- > 0;)
+            ways = (ways << 1) | (keys[w] == found.key);
+        found.ways = ways;
+        return found;
+    }
 
-    /** Choose the victim way in @c set (invalid first, then LRU). */
-    Line *victimLine(std::uint64_t set);
+    /**
+     * On a hit refresh the line's stamp and OR in @c dirty; on a miss
+     * hand over to replace().  Shared by access() and fill().
+     */
+    CacheAccessResult
+    touch(const Lookup &found, bool dirty)
+    {
+        if (found.ways == 0)
+            return replace(found, dirty);
+        const std::uint64_t way =
+            found.set * ways_ + std::countr_zero(found.ways);
+        stamps_[way] = ++useClock_;
+        dirty_[way] |= dirty;
+        CacheAccessResult result;
+        result.hit = true;
+        return result;
+    }
 
-    /** Insert @c tag into @c set, returning any dirty eviction. */
-    CacheAccessResult insert(std::uint64_t set, std::uint64_t tag,
-                             bool dirty);
+    /** Install @c found's key over the victim way; report a dirty eviction. */
+    CacheAccessResult replace(const Lookup &found, bool dirty);
 
-    std::uint64_t lineAddrOf(std::uint64_t set, std::uint64_t tag) const;
+    /** Set bit of every valid key, so an empty way (key 0) never matches. */
+    static constexpr std::uint64_t kValid = 1ull << 63;
 
     CacheConfig config_;
-    std::uint64_t numSets_;
+    std::uint32_t ways_;
     std::uint32_t lineShift_;
-    std::vector<Line> lines_;   ///< numSets * associativity, set-major
+    std::uint32_t setShift_;   ///< log2(number of sets)
+    std::uint64_t setMask_;
+    /**
+     * Per-way state, set-major (numSets * associativity), one array
+     * per field so the way match reads only keys.  Empty ways have
+     * key 0 and stamp 0; a filled way's stamp is >= 1 and unique, so
+     * "lowest-index empty way, else oldest stamp" is the lowest-index
+     * minimum stamp.
+     */
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
 };

@@ -1,5 +1,7 @@
 #include "mem/cache_hierarchy.hh"
 
+#include <bit>
+
 #include "common/units.hh"
 
 namespace mcdvfs
@@ -25,7 +27,8 @@ HierarchyConfig::paperDefault()
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : l1_(config.l1), l2_(config.l2),
-      nextLinePrefetch_(config.nextLinePrefetch)
+      nextLinePrefetch_(config.nextLinePrefetch),
+      l2LineShift_(std::countr_zero(config.l2.lineBytes))
 {
 }
 
@@ -68,8 +71,8 @@ CacheHierarchy::access(std::uint64_t addr, bool is_write)
         // Fetch the next line into L2 ahead of the demand stream.
         // Prefetch fills consume bandwidth and read energy but are
         // not demand-latency exposed.
-        const std::uint64_t line = l2_.config().lineBytes;
-        const std::uint64_t next = (addr / line + 1) * line;
+        const std::uint64_t next = ((addr >> l2LineShift_) + 1)
+                                   << l2LineShift_;
         if (!l2_.probe(next)) {
             const CacheAccessResult pf = l2_.fill(next, /*dirty=*/false);
             if (pf.writeback)

@@ -66,37 +66,31 @@ DramDevice::DramDevice(const DramConfig &config)
     : config_(config)
 {
     config_.validate();
+    rowShift_ = std::countr_zero(config_.rowBytes);
+    bankShift_ = std::countr_zero(config_.banks);
     banks_.assign(config_.banks, Bank{});
 }
 
 RowOutcome
 DramDevice::access(std::uint64_t addr, bool is_write)
 {
-    // column-low / bank-mid / row-high mapping.
-    const std::uint64_t row_addr = addr / config_.rowBytes;
-    const std::uint64_t bank_idx = row_addr % config_.banks;
-    const std::uint64_t row = row_addr / config_.banks;
+    // column-low / bank-mid / row-high mapping (power-of-two sizes).
+    const std::uint64_t row_addr = addr >> rowShift_;
+    const std::uint64_t row = row_addr >> bankShift_;
+    Bank &bank = banks_[row_addr & (config_.banks - 1)];
 
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
-
-    Bank &bank = banks_[bank_idx];
-    RowOutcome outcome;
-    if (!bank.rowOpen) {
-        outcome = RowOutcome::Closed;
-        ++stats_.rowClosed;
-    } else if (bank.openRow == row) {
-        outcome = RowOutcome::Hit;
-        ++stats_.rowHits;
-    } else {
-        outcome = RowOutcome::Conflict;
-        ++stats_.rowConflicts;
-    }
+    const bool open = bank.rowOpen;
+    const bool same_row = bank.openRow == row;
+    stats_.writes += is_write;
+    stats_.reads += !is_write;
+    stats_.rowClosed += !open;
+    stats_.rowHits += open & same_row;
+    stats_.rowConflicts += open & !same_row;
     bank.rowOpen = true;
     bank.openRow = row;
-    return outcome;
+    return !open ? RowOutcome::Closed
+         : same_row ? RowOutcome::Hit
+                    : RowOutcome::Conflict;
 }
 
 void

@@ -129,6 +129,8 @@ class DramDevice
     };
 
     DramConfig config_;
+    std::uint32_t rowShift_;   ///< log2(rowBytes)
+    std::uint32_t bankShift_;  ///< log2(banks)
     std::vector<Bank> banks_;
     DramStats stats_;
 };

@@ -37,8 +37,9 @@ PhaseSpec::validate() const
         fatal("phase '", name, "': gpuActivity out of [0,1]");
     if (gpuCyclesPerKick < 0.0)
         fatal("phase '", name, "': gpuCyclesPerKick must be >= 0");
-    if (hotBytes == 0 || warmBytes == 0 || coldBytes == 0)
-        fatal("phase '", name, "': footprint sizes must be positive");
+    // The trace generator addresses each tier in 8-byte words.
+    if (hotBytes < 8 || warmBytes < 8 || coldBytes < 8)
+        fatal("phase '", name, "': footprint sizes must be >= 8 bytes");
 }
 
 std::uint64_t

@@ -9,6 +9,7 @@
  *   M            integer multiply
  *   F            floating-point op
  *   B            branch
+ *   G            GPU kick (offload submission)
  *   L <hexaddr>  load
  *   S <hexaddr>  store
  */

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -226,6 +227,200 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geometry{1024, 1}, Geometry{1024, 2},
                       Geometry{4096, 4}, Geometry{8192, 8},
                       Geometry{64 * 1024, 4}, Geometry{4096, 64}));
+
+
+/**
+ * The array-of-structs, early-exit cache model the SoA Cache replaced,
+ * kept here verbatim in behaviour as the oracle for the rewrite.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : config_(config), numSets_(config.numSets()),
+          lines_(numSets_ * config.associativity)
+    {
+        while ((1ull << lineShift_) < config.lineBytes)
+            ++lineShift_;
+    }
+
+    CacheAccessResult
+    access(std::uint64_t addr, bool is_write)
+    {
+        const std::uint64_t line_addr = addr >> lineShift_;
+        const std::uint64_t set = line_addr & (numSets_ - 1);
+        const std::uint64_t tag = line_addr / numSets_;
+        if (is_write)
+            ++stats_.writes;
+        else
+            ++stats_.reads;
+        if (Line *line = findLine(set, tag)) {
+            line->lastUse = ++useClock_;
+            if (is_write)
+                line->dirty = true;
+            CacheAccessResult result;
+            result.hit = true;
+            return result;
+        }
+        if (is_write)
+            ++stats_.writeMisses;
+        else
+            ++stats_.readMisses;
+        return insert(set, tag, is_write);
+    }
+
+    CacheAccessResult
+    fill(std::uint64_t addr, bool dirty)
+    {
+        const std::uint64_t line_addr = addr >> lineShift_;
+        const std::uint64_t set = line_addr & (numSets_ - 1);
+        const std::uint64_t tag = line_addr / numSets_;
+        if (Line *line = findLine(set, tag)) {
+            line->lastUse = ++useClock_;
+            line->dirty = line->dirty || dirty;
+            CacheAccessResult result;
+            result.hit = true;
+            return result;
+        }
+        return insert(set, tag, dirty);
+    }
+
+    bool
+    probe(std::uint64_t addr)
+    {
+        const std::uint64_t line_addr = addr >> lineShift_;
+        return findLine(line_addr & (numSets_ - 1),
+                        line_addr / numSets_) != nullptr;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Line *
+    findLine(std::uint64_t set, std::uint64_t tag)
+    {
+        Line *base = &lines_[set * config_.associativity];
+        for (std::uint32_t way = 0; way < config_.associativity; ++way) {
+            if (base[way].valid && base[way].tag == tag)
+                return &base[way];
+        }
+        return nullptr;
+    }
+
+    CacheAccessResult
+    insert(std::uint64_t set, std::uint64_t tag, bool dirty)
+    {
+        Line *base = &lines_[set * config_.associativity];
+        Line *victim = &base[0];
+        for (std::uint32_t way = 0; way < config_.associativity; ++way) {
+            if (!base[way].valid) {
+                victim = &base[way];
+                break;
+            }
+            if (base[way].lastUse < victim->lastUse)
+                victim = &base[way];
+        }
+        CacheAccessResult result;
+        if (victim->valid && victim->dirty) {
+            result.writeback = true;
+            result.writebackAddr = ((victim->tag * numSets_) + set)
+                                   << lineShift_;
+            ++stats_.writebacks;
+        }
+        victim->valid = true;
+        victim->dirty = dirty;
+        victim->tag = tag;
+        victim->lastUse = ++useClock_;
+        return result;
+    }
+
+    CacheConfig config_;
+    std::uint64_t numSets_;
+    std::uint32_t lineShift_ = 0;
+    std::vector<Line> lines_;
+    std::uint64_t useClock_ = 0;
+    CacheStats stats_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want, int step)
+{
+    ASSERT_EQ(got.reads, want.reads) << "step " << step;
+    ASSERT_EQ(got.writes, want.writes) << "step " << step;
+    ASSERT_EQ(got.readMisses, want.readMisses) << "step " << step;
+    ASSERT_EQ(got.writeMisses, want.writeMisses) << "step " << step;
+    ASSERT_EQ(got.writebacks, want.writebacks) << "step " << step;
+}
+
+class CacheDifferential : public ::testing::TestWithParam<Geometry>
+{
+};
+
+/**
+ * Random access/fill/probe sequences (reads and writes, clean and
+ * dirty fills, addresses at sub-line offsets over four times the
+ * capacity) give the same hit, writeback, writeback address and
+ * counters at every step as the reference model.
+ */
+TEST_P(CacheDifferential, MatchesArrayOfStructsModel)
+{
+    CacheConfig config;
+    config.sizeBytes = GetParam().size;
+    config.associativity = GetParam().assoc;
+    config.lineBytes = 64;
+    Cache cache(config);
+    ReferenceCache reference(config);
+
+    const std::uint64_t lines = 4 * config.numSets() * config.associativity;
+    Rng rng(GetParam().size * 131 + GetParam().assoc);
+    for (int i = 0; i < 50'000; ++i) {
+        const std::uint64_t addr =
+            0x4000'0000ull + rng.uniformInt(lines) * 64 + rng.uniformInt(64);
+        const std::uint64_t op = rng.uniformInt(8);
+        if (op == 0) {
+            ASSERT_EQ(cache.probe(addr), reference.probe(addr))
+                << "step " << i;
+            continue;
+        }
+        const bool flag = rng.chance(0.3);
+        const CacheAccessResult got =
+            op == 1 ? cache.fill(addr, flag) : cache.access(addr, flag);
+        const CacheAccessResult want = op == 1 ? reference.fill(addr, flag)
+                                               : reference.access(addr, flag);
+        ASSERT_EQ(got.hit, want.hit) << "step " << i;
+        ASSERT_EQ(got.writeback, want.writeback) << "step " << i;
+        ASSERT_EQ(got.writebackAddr, want.writebackAddr) << "step " << i;
+        expectSameStats(cache.stats(), reference.stats(), i);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(Geometry{1024, 1}, Geometry{4096, 4},
+                      Geometry{64 * 1024, 4}, Geometry{16 * 1024, 16}),
+    [](const ::testing::TestParamInfo<Geometry> &info) {
+        return std::to_string(info.param.size) + "B_" +
+               std::to_string(info.param.assoc) + "way";
+    });
+
+TEST(CacheConfig, AtMost64Ways)
+{
+    CacheConfig config;
+    config.sizeBytes = 128 * 64;
+    config.lineBytes = 64;
+    config.associativity = 64;
+    EXPECT_NO_THROW(config.validate());
+    config.associativity = 128;
+    EXPECT_THROW(config.validate(), FatalError);
+}
 
 } // namespace
 } // namespace mcdvfs

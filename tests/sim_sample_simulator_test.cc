@@ -7,7 +7,9 @@
 
 #include "common/logging.hh"
 
+#include "profile_bits.hh"
 #include "sim/sample_simulator.hh"
+#include "trace/trace_generator.hh"
 
 namespace mcdvfs
 {
@@ -165,6 +167,43 @@ TEST(SampleSimulator, CharacterizeOneResetsState)
         simulator.characterizeOne(memBoundPhase(), 7, 20'000);
     EXPECT_DOUBLE_EQ(a.l1Mpki, b.l1Mpki);
     EXPECT_DOUBLE_EQ(a.rowHitFrac, b.rowHitFrac);
+}
+
+/**
+ * The fused generate->replay loop (characterizeOne) and the virtual
+ * TraceSource path (characterizeTrace over the same generator) give
+ * the same profile bit for bit, on both hierarchies and on CPU,
+ * memory-bound, GPU-kick and all-kinds phases.
+ */
+TEST(SampleSimulator, FusedLoopMatchesVirtualSourcePath)
+{
+    PhaseSpec kick = cpuBoundPhase();
+    kick.name = "kick";
+    kick.gpuKickFrac = 0.04;
+    kick.gpuCyclesPerKick = 3000.0;
+    kick.gpuActivity = 0.5;
+    PhaseSpec mixed;
+    mixed.name = "mixed";
+    mixed.fpFrac = 0.1;
+    mixed.gpuKickFrac = 0.01;
+    mixed.gpuCyclesPerKick = 100.0;
+
+    for (const bool prefetch : {false, true}) {
+        SampleSimulatorConfig config = fastConfig();
+        config.hierarchy.nextLinePrefetch = prefetch;
+        for (const PhaseSpec &spec :
+             {cpuBoundPhase(), memBoundPhase(), kick, mixed}) {
+            SampleSimulator fused(config);
+            SampleSimulator virtual_path(config);
+            TraceGenerator gen(spec, 31);
+            const SampleProfile a = fused.characterizeOne(spec, 31, 60'000);
+            const SampleProfile b =
+                virtual_path.characterizeTrace(gen, 60'000, spec);
+            EXPECT_EQ(test::profileBits(a), test::profileBits(b))
+                << spec.name << (prefetch ? " prefetch" : "");
+            EXPECT_EQ(a.phaseName, b.phaseName);
+        }
+    }
 }
 
 TEST(SampleSimulator, ZeroInstructionConfigThrows)

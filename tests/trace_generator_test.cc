@@ -185,6 +185,83 @@ TEST(TraceGenerator, GenerateAppends)
     EXPECT_EQ(out.size(), 150u);
 }
 
+/** A render-loop phase: GPU kicks in the mix, all three tiers live. */
+PhaseSpec
+gpuKickSpec()
+{
+    PhaseSpec spec = testSpec();
+    spec.name = "kick";
+    spec.gpuKickFrac = 0.05;
+    spec.gpuCyclesPerKick = 4000.0;
+    spec.gpuActivity = 0.6;
+    return spec;
+}
+
+/** hotFrac + warmFrac = 1: the cold tier is never drawn. */
+PhaseSpec
+noColdSpec()
+{
+    PhaseSpec spec = testSpec();
+    spec.name = "nocold";
+    spec.hotFrac = 0.75;
+    spec.warmFrac = 0.25;
+    return spec;
+}
+
+class TraceGeneratorPaths : public ::testing::TestWithParam<PhaseSpec>
+{
+};
+
+TEST_P(TraceGeneratorPaths, RunNextAndGenerateAgree)
+{
+    const Count n = 40'000;
+    TraceGenerator by_next(GetParam(), 5);
+    TraceGenerator by_run(GetParam(), 5);
+    TraceGenerator by_generate(GetParam(), 5);
+
+    std::vector<InstrRecord> ran;
+    by_run.run(n, [&ran](const InstrRecord &rec) { ran.push_back(rec); });
+    std::vector<InstrRecord> generated;
+    by_generate.generate(n, generated);
+    ASSERT_EQ(ran.size(), n);
+    ASSERT_EQ(generated.size(), n);
+
+    Count kicks = 0;
+    for (Count i = 0; i < n; ++i) {
+        const InstrRecord want = by_next.next();
+        ASSERT_EQ(ran[i].kind, want.kind) << "instr " << i;
+        ASSERT_EQ(ran[i].addr, want.addr) << "instr " << i;
+        ASSERT_EQ(generated[i].kind, want.kind) << "instr " << i;
+        ASSERT_EQ(generated[i].addr, want.addr) << "instr " << i;
+        kicks += want.kind == InstrKind::GpuKick;
+    }
+    EXPECT_EQ(kicks > 0, GetParam().gpuKickFrac > 0.0);
+    // The streams stay in step after the first block.
+    EXPECT_EQ(by_run.next().addr, by_next.next().addr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Phases, TraceGeneratorPaths,
+                         ::testing::Values(testSpec(), gpuKickSpec(),
+                                           noColdSpec()),
+                         [](const auto &info) { return info.param.name; });
+
+TEST(TraceGenerator, ZeroColdFractionNeverTouchesColdSet)
+{
+    TraceGenerator gen(noColdSpec(), 9);
+    gen.run(20'000, [](const InstrRecord &rec) {
+        if (isMemory(rec.kind)) {
+            ASSERT_LT(rec.addr, TraceGenerator::kColdBase);
+        }
+    });
+}
+
+TEST(TraceGenerator, SubWordFootprintRejected)
+{
+    PhaseSpec spec = testSpec();
+    spec.warmBytes = 4;  // less than one 8-byte word
+    EXPECT_THROW((TraceGenerator{spec, 1}), FatalError);
+}
+
 TEST(TraceGenerator, InvalidSpecThrows)
 {
     PhaseSpec spec = testSpec();

@@ -8,9 +8,11 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "profile_bits.hh"
 #include "sim/sample_simulator.hh"
 #include "trace/trace_generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/workloads.hh"
 
 namespace mcdvfs
 {
@@ -40,8 +42,9 @@ TEST(TraceIo, RecordReplayRoundTrip)
         const InstrRecord expected = reference.next();
         const InstrRecord actual = replay.next();
         ASSERT_EQ(actual.kind, expected.kind) << "instr " << i;
-        if (isMemory(expected.kind))
+        if (isMemory(expected.kind)) {
             ASSERT_EQ(actual.addr, expected.addr) << "instr " << i;
+        }
     }
 }
 
@@ -62,7 +65,7 @@ TEST(TraceIo, ReplayWrapsAround)
 TEST(TraceIo, AllKindsRoundTrip)
 {
     TraceReplay replay =
-        TraceReplay::fromString("A\nM\nF\nB\nL a0\nS b0\n");
+        TraceReplay::fromString("A\nM\nF\nB\nL a0\nS b0\nG\n");
     EXPECT_EQ(replay.next().kind, InstrKind::IntAlu);
     EXPECT_EQ(replay.next().kind, InstrKind::IntMul);
     EXPECT_EQ(replay.next().kind, InstrKind::FpOp);
@@ -71,6 +74,7 @@ TEST(TraceIo, AllKindsRoundTrip)
     const InstrRecord store = replay.next();
     EXPECT_EQ(store.kind, InstrKind::Store);
     EXPECT_EQ(store.addr, 0xb0u);
+    EXPECT_EQ(replay.next().kind, InstrKind::GpuKick);
 }
 
 TEST(TraceIo, RejectsMalformedInput)
@@ -109,6 +113,35 @@ TEST(TraceIo, ReplayDrivesCharacterization)
     EXPECT_DOUBLE_EQ(from_replay.rowHitFrac, from_gen.rowHitFrac);
     EXPECT_DOUBLE_EQ(from_replay.dramWritesPerInstr,
                      from_gen.dramWritesPerInstr);
+}
+
+TEST(TraceIo, GpuPhaseRoundTripsThroughCharacterization)
+{
+    // A glrender submit phase carries GPU kicks: it records, replays,
+    // and characterizes to the same bits as the generator itself.
+    const WorkloadProfile glrender = makeGlrender();
+    const PhaseSpec spec = glrender.phaseFor(0);
+    ASSERT_GT(spec.gpuKickFrac, 0.0);
+    const std::uint64_t seed = glrender.traceSeedFor(0);
+    const Count n = 40'000;
+
+    TraceGenerator gen(spec, seed);
+    std::ostringstream os;
+    recordTrace(gen, n, os);
+    EXPECT_NE(os.str().find("G\n"), std::string::npos);
+
+    SampleSimulatorConfig config;
+    config.simInstructionsPerSample = n;
+    config.warmupInstructions = 0;
+    SampleSimulator direct(config);
+    const SampleProfile from_gen = direct.characterizeOne(spec, seed, n);
+
+    SampleSimulator replayed(config);
+    TraceReplay replay = TraceReplay::fromString(os.str());
+    const SampleProfile from_replay =
+        replayed.characterizeTrace(replay, n, spec);
+    EXPECT_GT(from_gen.gpuWorkPerInstr, 0.0);
+    EXPECT_EQ(test::profileBits(from_replay), test::profileBits(from_gen));
 }
 
 } // namespace
