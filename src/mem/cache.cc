@@ -67,36 +67,4 @@ Cache::reset()
     stats_ = CacheStats{};
 }
 
-CacheAccessResult
-Cache::replace(const Lookup &found, bool dirty)
-{
-    // Lowest-index minimum stamp: the first empty way (stamp 0), else
-    // the least recently used.  Selects, not jumps: the winner's
-    // position is random.
-    const std::uint64_t base = found.set * ways_;
-    const std::uint64_t *stamps = stamps_.data() + base;
-    std::uint64_t oldest = stamps[0];
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w) {
-        const bool older = stamps[w] < oldest;
-        oldest = older ? stamps[w] : oldest;
-        victim = older ? w : victim;
-    }
-    const std::uint64_t way = base + victim;
-
-    // Empty ways are never dirty, so only a valid victim writes back.
-    CacheAccessResult result;
-    if (dirty_[way]) {
-        const std::uint64_t tag = keys_[way] & ~kValid;
-        result.writeback = true;
-        result.writebackAddr = ((tag << setShift_) | found.set)
-                               << lineShift_;
-        ++stats_.writebacks;
-    }
-    keys_[way] = found.key;
-    stamps_[way] = ++useClock_;
-    dirty_[way] = dirty;
-    return result;
-}
-
 } // namespace mcdvfs

@@ -71,28 +71,6 @@ DramDevice::DramDevice(const DramConfig &config)
     banks_.assign(config_.banks, Bank{});
 }
 
-RowOutcome
-DramDevice::access(std::uint64_t addr, bool is_write)
-{
-    // column-low / bank-mid / row-high mapping (power-of-two sizes).
-    const std::uint64_t row_addr = addr >> rowShift_;
-    const std::uint64_t row = row_addr >> bankShift_;
-    Bank &bank = banks_[row_addr & (config_.banks - 1)];
-
-    const bool open = bank.rowOpen;
-    const bool same_row = bank.openRow == row;
-    stats_.writes += is_write;
-    stats_.reads += !is_write;
-    stats_.rowClosed += !open;
-    stats_.rowHits += open & same_row;
-    stats_.rowConflicts += open & !same_row;
-    bank.rowOpen = true;
-    bank.openRow = row;
-    return !open ? RowOutcome::Closed
-         : same_row ? RowOutcome::Hit
-                    : RowOutcome::Conflict;
-}
-
 void
 DramDevice::reset()
 {

@@ -28,6 +28,7 @@ struct GridMetrics
     obs::Counter uniqueRows;
     obs::Counter rowsDeduped;
     obs::Counter characterizeNs;
+    obs::Counter warmupNs;
     obs::Counter tableReuse;
     obs::Histogram buildNs;
 
@@ -42,6 +43,7 @@ struct GridMetrics
         uniqueRows = reg.counter("sim.grid.unique_rows");
         rowsDeduped = reg.counter("sim.grid.rows_deduped");
         characterizeNs = reg.counter("sim.grid.characterize_ns");
+        warmupNs = reg.counter("sim.grid.warmup_ns");
         tableReuse = reg.counter("sim.kernel.table_reuse");
         buildNs = reg.histogram(
             "sim.grid.build_ns",
@@ -139,6 +141,7 @@ GridRunner::run(const WorkloadProfile &workload, const SettingsSpace &space)
         simulator.characterize(workload);
     gridMetrics().characterizeNs.add(
         obs::elapsedNs(characterize_start));
+    gridMetrics().warmupNs.add(simulator.lastCharacterizeStats().warmupNs);
     characterize_span.end();
     return runWithProfiles(workload.name(), profiles, space,
                            workload.modeledInstructionsPerSample());

@@ -74,11 +74,17 @@ class ProfileCache;
 class SampleSimulator
 {
   public:
-    /** Cache traffic of the most recent characterize() call. */
+    /** Cache traffic and warm-up time of the most recent characterize(). */
     struct CharacterizeStats
     {
         std::uint64_t cacheHits = 0;
         std::uint64_t cacheMisses = 0;
+        /**
+         * Nanoseconds of unrecorded warm-up: the sequential warm-up, or
+         * the canonical warm-ups of every cache miss (0 in builds
+         * without metrics).  Timed once per warm-up block.
+         */
+        std::uint64_t warmupNs = 0;
     };
 
     /** @throws FatalError on invalid configuration. */
@@ -119,7 +125,7 @@ class SampleSimulator
 
     const SampleSimulatorConfig &config() const { return config_; }
 
-    /** Cache traffic of the most recent characterize() call. */
+    /** Cache traffic and warm-up time of the most recent characterize(). */
     const CharacterizeStats &lastCharacterizeStats() const
     {
         return lastStats_;

@@ -1,10 +1,23 @@
 #include "trace/trace_generator.hh"
 
+#include <cmath>
+
 namespace mcdvfs
 {
 
 namespace
 {
+
+/**
+ * The draw threshold of probability @c p.  Rng::uniform() is m * 2^-53
+ * for the 53-bit integer draw m, and scaling by 2^53 is exact, so
+ * "uniform() < p" is exactly "m < ceil(p * 2^53)".
+ */
+std::uint64_t
+threshold(double p)
+{
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
 
 /** @c spec after validation, so the tier bounds below are positive. */
 const PhaseSpec &
@@ -18,7 +31,8 @@ validated(const PhaseSpec &spec)
 
 TraceGenerator::TraceGenerator(const PhaseSpec &spec, std::uint64_t seed)
     : spec_(validated(spec)), rng_(seed),
-      warmEdge_(spec_.hotFrac + spec_.warmFrac),
+      hotEdge_(threshold(spec_.hotFrac)),
+      warmEdge_(threshold(spec_.hotFrac + spec_.warmFrac)),
       hotWords_(spec_.hotBytes / kAccessBytes),
       warmWords_(spec_.warmBytes / kAccessBytes),
       coldWords_(spec_.coldBytes / kAccessBytes)
@@ -30,7 +44,7 @@ TraceGenerator::TraceGenerator(const PhaseSpec &spec, std::uint64_t seed)
                              spec_.mulFrac, spec_.gpuKickFrac};
     double edge = 0.0;
     for (int i = 0; i < 6; ++i)
-        kindEdge_[i] = edge += fracs[i];
+        kindEdge_[i] = threshold(edge += fracs[i]);
     // Start the sequential cold stream at a seed-dependent offset so
     // different samples touch different rows.
     coldCursor_ = rng_.uniformInt(coldWords_) * kAccessBytes;

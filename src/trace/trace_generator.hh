@@ -36,8 +36,7 @@ namespace mcdvfs
  * Every path — the virtual next(), generate() and run() — draws from
  * draw(), so all three yield the same stream.  run() is the fast one:
  * it hands each instruction to a consumer inlined into the same loop,
- * so the consumer's test of the kind follows the generator's own kind
- * branch and the two predict together (docs/PERF.md "Characterization
+ * with the generator state in locals (docs/PERF.md "Characterization
  * loop").
  */
 class TraceGenerator : public TraceSource
@@ -61,71 +60,93 @@ class TraceGenerator : public TraceSource
     TraceGenerator(const PhaseSpec &spec, std::uint64_t seed);
 
     /** Produce the next dynamic instruction. */
-    InstrRecord next() override { return draw(); }
+    InstrRecord next() override { return draw(rng_, coldCursor_); }
 
     /** Append @c n instructions to @c out. */
     void generate(Count n, std::vector<InstrRecord> &out);
 
-    /** Feed the next @c n instructions to @c sink, one call each. */
+    /**
+     * Feed the next @c n instructions to @c sink, one call each.  The
+     * RNG state and the cold cursor are copied into locals for the
+     * loop and written back once at the end, so they stay in
+     * registers even across calls the sink makes out of line.
+     */
     template <class Sink>
     void
     run(Count n, Sink &&sink)
     {
-        for (Count i = 0; i < n; ++i)
-            sink(draw());
-    }
-
-    /** The next dynamic instruction (the stream every path shares). */
-    InstrRecord
-    draw()
-    {
-        // Cumulative edges in the order load, store, branch, fp, mul,
-        // GPU kick; the remainder is integer ALU.  A zero GPU fraction
-        // collapses its edge onto the mul edge, so CPU-only phases draw
-        // exactly the two-domain stream.
-        const double k = rng_.uniform();
-        if (k < kindEdge_[0])
-            return {InstrKind::Load, nextAddress()};
-        if (k < kindEdge_[1])
-            return {InstrKind::Store, nextAddress()};
-        if (k < kindEdge_[2])
-            return {InstrKind::Branch, 0};
-        if (k < kindEdge_[3])
-            return {InstrKind::FpOp, 0};
-        if (k < kindEdge_[4])
-            return {InstrKind::IntMul, 0};
-        if (k < kindEdge_[5])
-            return {InstrKind::GpuKick, 0};
-        return {InstrKind::IntAlu, 0};
+        Rng rng = rng_;
+        std::uint64_t cursor = coldCursor_;
+        for (Count i = n; i > 0; --i)
+            sink(draw(rng, cursor));
+        rng_ = rng;
+        coldCursor_ = cursor;
     }
 
     /** The phase being generated. */
     const PhaseSpec &spec() const { return spec_; }
 
   private:
-    std::uint64_t
-    nextAddress()
+    /**
+     * The next dynamic instruction, advancing @c rng and the cold
+     * cursor @c cursor: the stream every path shares.  Forced inline,
+     * with nextAddress(), so that the state run() keeps in locals
+     * never has its address passed to a call.
+     */
+    [[gnu::always_inline]] InstrRecord
+    draw(Rng &rng, std::uint64_t &cursor) const
     {
-        const double tier = rng_.uniform();
-        if (tier < spec_.hotFrac)
-            return kHotBase + rng_.uniformInt(hotWords_) * kAccessBytes;
+        // Cumulative edges in the order load, store, branch, fp, mul,
+        // GPU kick; the remainder is integer ALU.  A zero GPU fraction
+        // collapses its edge onto the mul edge, so CPU-only phases draw
+        // exactly the two-domain stream.  The kind is the first edge
+        // above k.  Edges never decrease, so within the memory and the
+        // other kinds it is the count of edges at or below k: the one
+        // branch on the random k is "memory or not".  (Table lookups,
+        // not "Load + bool": the compiler turns that sum back into a
+        // branch.)  k is uniform()'s 53-bit draw, compared with integer
+        // thresholds, so the branch resolves without a conversion.
+        const std::uint64_t k = rng.next() >> 11;
+        if (k < kindEdge_[1]) {
+            static constexpr InstrKind kMemory[2] = {InstrKind::Load,
+                                                     InstrKind::Store};
+            return {kMemory[k >= kindEdge_[0]], nextAddress(rng, cursor)};
+        }
+        static constexpr InstrKind kOthers[5] = {
+            InstrKind::Branch, InstrKind::FpOp, InstrKind::IntMul,
+            InstrKind::GpuKick, InstrKind::IntAlu};
+        const int other = (k >= kindEdge_[2]) + (k >= kindEdge_[3]) +
+                          (k >= kindEdge_[4]) + (k >= kindEdge_[5]);
+        return {kOthers[other], 0};
+    }
+
+    [[gnu::always_inline]] std::uint64_t
+    nextAddress(Rng &rng, std::uint64_t &cursor) const
+    {
+        const std::uint64_t tier = rng.next() >> 11;
+        if (tier < hotEdge_)
+            return kHotBase + rng.uniformInt(hotWords_) * kAccessBytes;
         if (tier < warmEdge_)
-            return kWarmBase + rng_.uniformInt(warmWords_) * kAccessBytes;
+            return kWarmBase + rng.uniformInt(warmWords_) * kAccessBytes;
         // Cold tier: sequential stream or uniform random.
-        if (rng_.chance(spec_.coldSeqFrac)) {
-            const std::uint64_t addr = kColdBase + coldCursor_;
-            coldCursor_ += kAccessBytes;
-            if (coldCursor_ >= spec_.coldBytes)
-                coldCursor_ = 0;
+        if (rng.chance(spec_.coldSeqFrac)) {
+            const std::uint64_t addr = kColdBase + cursor;
+            cursor += kAccessBytes;
+            if (cursor >= spec_.coldBytes)
+                cursor = 0;
             return addr;
         }
-        return kColdBase + rng_.uniformInt(coldWords_) * kAccessBytes;
+        return kColdBase + rng.uniformInt(coldWords_) * kAccessBytes;
     }
 
     PhaseSpec spec_;
     Rng rng_;
-    double kindEdge_[6];  ///< cumulative instruction-mix edges
-    double warmEdge_;     ///< hotFrac + warmFrac
+    /** @name Probabilities as draw thresholds (see threshold()). */
+    ///@{
+    std::uint64_t kindEdge_[6];  ///< cumulative instruction-mix edges
+    std::uint64_t hotEdge_;      ///< hotFrac
+    std::uint64_t warmEdge_;     ///< hotFrac + warmFrac
+    ///@}
     UniformBound hotWords_;
     UniformBound warmWords_;
     UniformBound coldWords_;

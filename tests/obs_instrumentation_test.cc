@@ -256,6 +256,29 @@ TEST(ObsInstrumentation, GridRunnerBuildAndCellCounters)
     EXPECT_EQ(histogramCount("sim.grid.build_ns"), buildNs0 + 1);
 }
 
+/**
+ * Warm-up is split out of characterization time: a build with a
+ * sequential warm-up adds some of it, never more than the whole.
+ */
+TEST(ObsInstrumentation, GridRunnerSplitsOutWarmup)
+{
+    REQUIRE_METRICS_ON();
+    const std::uint64_t characterize0 =
+        counterValue("sim.grid.characterize_ns");
+    const std::uint64_t warmup0 = counterValue("sim.grid.warmup_ns");
+
+    SystemConfig config = test::fastSystemConfig();
+    ASSERT_GT(config.sampler.warmupInstructions, 0u);
+    GridRunner runner(config);
+    runner.run(test::phasedWorkload(), SettingsSpace::coarse());
+
+    const std::uint64_t warmup =
+        counterValue("sim.grid.warmup_ns") - warmup0;
+    EXPECT_GT(warmup, 0u);
+    EXPECT_LE(warmup, counterValue("sim.grid.characterize_ns") -
+                          characterize0);
+}
+
 TEST(ObsInstrumentation, ReferenceKernelCounters)
 {
     REQUIRE_METRICS_ON();

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/profile_cache.hh"
 #include "sim/sample_simulator.hh"
 #include "trace/phase.hh"
@@ -226,9 +227,14 @@ TEST(MemoizedCharacterization, HitsCountAndProfilesMatch)
     EXPECT_EQ(sim.lastCharacterizeStats().cacheMisses, 2u);
     EXPECT_EQ(sim.lastCharacterizeStats().cacheHits, 6u);
 
+    // Each miss ran its canonical warm-up, and that time is reported.
+    EXPECT_EQ(sim.lastCharacterizeStats().warmupNs > 0,
+              obs::kMetricsEnabled);
+
     const std::vector<SampleProfile> second = sim.characterize(workload);
     EXPECT_EQ(sim.lastCharacterizeStats().cacheMisses, 0u);
     EXPECT_EQ(sim.lastCharacterizeStats().cacheHits, 8u);
+    EXPECT_EQ(sim.lastCharacterizeStats().warmupNs, 0u);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t s = 0; s < first.size(); ++s)
         expectSameProfile(first[s], second[s]);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 
 #include "profile_bits.hh"
 #include "sim/sample_simulator.hh"
@@ -211,6 +212,28 @@ TEST(SampleSimulator, ZeroInstructionConfigThrows)
     SampleSimulatorConfig config;
     config.simInstructionsPerSample = 0;
     EXPECT_THROW(SampleSimulator{config}, FatalError);
+}
+
+TEST(SampleSimulator, ReportsSequentialWarmupTime)
+{
+    SampleSimulator simulator(fastConfig());
+    simulator.characterize(tinyWorkload(memBoundPhase(), 2));
+    EXPECT_EQ(simulator.lastCharacterizeStats().warmupNs > 0,
+              obs::kMetricsEnabled);
+}
+
+/** A sample of no instructions has no rates (0/0), so it is refused. */
+TEST(SampleSimulator, ZeroInstructionSampleThrows)
+{
+    SampleSimulator simulator(fastConfig());
+    EXPECT_THROW(simulator.characterizeOne(memBoundPhase(), 7, 0),
+                 FatalError);
+    TraceGenerator gen(memBoundPhase(), 7);
+    EXPECT_THROW(simulator.characterizeTrace(gen, 0, memBoundPhase()),
+                 FatalError);
+    // The simulator stays usable after the refusal.
+    EXPECT_GT(simulator.characterizeOne(memBoundPhase(), 7, 1'000).l1Mpki,
+              0.0);
 }
 
 } // namespace
