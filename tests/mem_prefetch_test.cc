@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache_hierarchy.hh"
+#include "recorded_access.hh"
 
 namespace mcdvfs
 {
@@ -51,10 +52,11 @@ TEST(CacheProbe, DoesNotPerturbState)
 TEST(Prefetcher, DemandMissTriggersNextLineFetch)
 {
     CacheHierarchy hierarchy(prefetchConfig());
-    const HierarchyOutcome outcome = hierarchy.access(0x10000, false);
+    const test::RecordedAccess outcome =
+        test::recordAccess(hierarchy, 0x10000, false);
     EXPECT_EQ(outcome.level, ServiceLevel::Dram);
     // Demand fill + prefetch of the next line.
-    ASSERT_EQ(outcome.dramCount, 2u);
+    ASSERT_EQ(outcome.dram.size(), 2u);
     EXPECT_FALSE(outcome.dram[0].isPrefetch);
     EXPECT_TRUE(outcome.dram[1].isPrefetch);
     EXPECT_EQ(outcome.dram[1].addr, 0x10040u);
@@ -64,19 +66,23 @@ TEST(Prefetcher, DemandMissTriggersNextLineFetch)
 TEST(Prefetcher, PrefetchedLineServesFromL2)
 {
     CacheHierarchy hierarchy(prefetchConfig());
-    hierarchy.access(0x10000, false);  // prefetches 0x10040 into L2
-    const HierarchyOutcome outcome = hierarchy.access(0x10040, false);
+    // Prefetches 0x10040 into L2.
+    test::recordAccess(hierarchy, 0x10000, false);
+    const test::RecordedAccess outcome =
+        test::recordAccess(hierarchy, 0x10040, false);
     EXPECT_EQ(outcome.level, ServiceLevel::L2);
 }
 
 TEST(Prefetcher, NoDuplicatePrefetchWhenLinePresent)
 {
     CacheHierarchy hierarchy(prefetchConfig());
-    hierarchy.access(0x10040, false);  // next line resident already
-    const HierarchyOutcome outcome = hierarchy.access(0x10000, false);
+    // The next line is resident already.
+    test::recordAccess(hierarchy, 0x10040, false);
+    const test::RecordedAccess outcome =
+        test::recordAccess(hierarchy, 0x10000, false);
     // 0x10040 is in L2: only the demand fill goes to DRAM.
     bool prefetched = false;
-    for (std::uint8_t d = 0; d < outcome.dramCount; ++d)
+    for (std::size_t d = 0; d < outcome.dram.size(); ++d)
         prefetched |= outcome.dram[d].isPrefetch;
     EXPECT_FALSE(prefetched);
 }
@@ -86,15 +92,16 @@ TEST(Prefetcher, DisabledByDefault)
     HierarchyConfig config = prefetchConfig();
     config.nextLinePrefetch = false;
     CacheHierarchy hierarchy(config);
-    const HierarchyOutcome outcome = hierarchy.access(0x10000, false);
-    EXPECT_EQ(outcome.dramCount, 1u);
+    const test::RecordedAccess outcome =
+        test::recordAccess(hierarchy, 0x10000, false);
+    EXPECT_EQ(outcome.dram.size(), 1u);
     EXPECT_EQ(hierarchy.prefetches(), 0u);
 }
 
 TEST(Prefetcher, ResetClearsCounter)
 {
     CacheHierarchy hierarchy(prefetchConfig());
-    hierarchy.access(0x10000, false);
+    test::recordAccess(hierarchy, 0x10000, false);
     EXPECT_EQ(hierarchy.prefetches(), 1u);
     hierarchy.reset();
     EXPECT_EQ(hierarchy.prefetches(), 0u);
@@ -109,14 +116,17 @@ TEST(Prefetcher, VictimWritebacksAreOrderedBeforePrefetch)
     // L2: 4096/2/64 = 32 sets; stride of 32 lines conflicts.
     const std::uint64_t stride = 32 * 64;
     for (int i = 0; i < 6; ++i)
-        hierarchy.access(0x40000 + i * stride, true);
-    const HierarchyOutcome outcome =
-        hierarchy.access(0x40000 + 6 * stride - 64, false);
-    ASSERT_LE(outcome.dramCount, HierarchyOutcome::kMaxDram);
+        test::recordAccess(hierarchy, 0x40000 + i * stride, true);
+    const test::RecordedAccess outcome =
+        test::recordAccess(hierarchy, 0x40000 + 6 * stride - 64, false);
+    // Worst case per access: L1-victim writeback evicted from L2,
+    // L2-victim writeback, the demand fill, a prefetch-victim
+    // writeback, and the prefetch fill.
+    ASSERT_LE(outcome.dram.size(), 5u);
     // At least the demand fill is present and flags are coherent.
     bool saw_demand_read = false;
-    for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
-        const DramRequest &req = outcome.dram[d];
+    for (std::size_t d = 0; d < outcome.dram.size(); ++d) {
+        const test::DramRequest &req = outcome.dram[d];
         if (!req.isWrite && !req.isPrefetch)
             saw_demand_read = true;
         if (req.isPrefetch) {
