@@ -24,8 +24,10 @@ int
 main()
 {
     ReproSuite suite;
+    const std::vector<std::string> workloads = {"bzip2", "gobmk", "milc"};
+    suite.characterize(workloads);
 
-    for (const std::string workload : {"bzip2", "gobmk", "milc"}) {
+    for (const std::string &workload : workloads) {
         const MeasuredGrid &grid = suite.grid(workload);
         GridAnalyses a(grid);
 

@@ -9,10 +9,11 @@
  * transitions; whether a higher budget lengthens stable regions is
  * workload dependent.
  *
- * --jobs N fans the sweep's per-sample cluster kernel over a thread
- * pool (output is bit-identical to the serial run).
+ * --jobs N fans the sweep's per-sample cluster kernel over the suite's
+ * thread pool (output is bit-identical to the serial run).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "cluster_panels.hh"
@@ -32,12 +33,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    mcdvfs::ReproSuite suite;
-    if (jobs > 0) {
-        mcdvfs::exec::ThreadPool pool(jobs);
-        mcdvfs::printClusterPanels(suite, "gobmk", &pool);
-    } else {
-        mcdvfs::printClusterPanels(suite, "gobmk");
-    }
+    mcdvfs::ReproSuite suite(mcdvfs::SystemConfig::paperDefault(),
+                             std::max<std::size_t>(1, jobs));
+    mcdvfs::printClusterPanels(
+        suite, "gobmk", jobs > 0 ? &suite.service().pool() : nullptr);
     return 0;
 }

@@ -8,10 +8,11 @@
  * stays tightly bound while the cluster spans a wide range of memory
  * frequencies (small performance difference across memory settings).
  *
- * --jobs N fans the sweep's per-sample cluster kernel over a thread
- * pool (output is bit-identical to the serial run).
+ * --jobs N fans the sweep's per-sample cluster kernel over the suite's
+ * thread pool (output is bit-identical to the serial run).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "cluster_panels.hh"
@@ -31,12 +32,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    mcdvfs::ReproSuite suite;
-    if (jobs > 0) {
-        mcdvfs::exec::ThreadPool pool(jobs);
-        mcdvfs::printClusterPanels(suite, "milc", &pool);
-    } else {
-        mcdvfs::printClusterPanels(suite, "milc");
-    }
+    mcdvfs::ReproSuite suite(mcdvfs::SystemConfig::paperDefault(),
+                             std::max<std::size_t>(1, jobs));
+    mcdvfs::printClusterPanels(
+        suite, "milc", jobs > 0 ? &suite.service().pool() : nullptr);
     return 0;
 }

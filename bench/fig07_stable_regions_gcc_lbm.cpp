@@ -53,8 +53,10 @@ int
 main()
 {
     ReproSuite suite;
+    const std::vector<std::string> workloads = {"gcc", "lbm"};
+    suite.characterize(workloads);
 
-    for (const std::string workload : {"gcc", "lbm"}) {
+    for (const std::string &workload : workloads) {
         const MeasuredGrid &grid = suite.grid(workload);
         GridAnalyses a(grid);
         for (const double threshold : {0.03, 0.05})

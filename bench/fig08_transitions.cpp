@@ -23,6 +23,7 @@ int
 main()
 {
     ReproSuite suite;
+    suite.characterize(ReproSuite::benchmarkNames());
 
     for (const double budget : {1.0, 1.3, 1.6}) {
         Table table({"benchmark", "optimal", "1%", "3%", "5%"});

@@ -9,13 +9,15 @@
  *  (c) all benchmarks at budget 1.3.
  *
  * Each row is a box-plot five-number summary (min / Q1 / median / Q3 /
- * max) of region lengths in samples.  The twelve-point sweeps run
- * through AnalysisSweep; --jobs N fans the per-sample cluster kernel
- * over a thread pool (output is bit-identical to the serial run).
+ * max) of region lengths in samples.  The six grids build side by
+ * side on the suite's pool, and the twelve-point sweeps run through
+ * AnalysisSweep; --jobs N sizes that pool and fans the per-sample
+ * cluster kernel over it too (output is bit-identical to the serial
+ * run).
  */
 
+#include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "cluster_panels.hh"
 #include "common/args.hh"
@@ -62,11 +64,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ReproSuite suite;
-    std::unique_ptr<exec::ThreadPool> owned_pool;
-    if (jobs > 0)
-        owned_pool = std::make_unique<exec::ThreadPool>(jobs);
-    exec::ThreadPool *pool = owned_pool.get();
+    ReproSuite suite(SystemConfig::paperDefault(),
+                     std::max<std::size_t>(1, jobs));
+    exec::ThreadPool *pool = jobs > 0 ? &suite.service().pool() : nullptr;
+    suite.characterize(ReproSuite::benchmarkNames());
 
     // Panels (a) and (b): per-benchmark budget sweep.
     for (const std::string workload : {"gobmk", "bzip2"}) {

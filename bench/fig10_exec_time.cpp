@@ -24,6 +24,7 @@ int
 main()
 {
     ReproSuite suite;
+    suite.characterize(ReproSuite::benchmarkNames());
 
     const double budgets[] = {1.0, 1.1, 1.2, 1.3, 1.6};
 

@@ -24,6 +24,7 @@ int
 main()
 {
     ReproSuite suite;
+    suite.characterize(ReproSuite::benchmarkNames());
     const double budget = 1.3;
 
     for (const bool with_overhead : {false, true}) {

@@ -12,14 +12,13 @@
  * overhead/search-space balance decides the right granularity.
  */
 
+#include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "common/args.hh"
 #include "common/table.hh"
 #include "core/step_sensitivity.hh"
 #include "core/tuning_cost.hh"
-#include "exec/thread_pool.hh"
 #include "repro/suite.hh"
 #include "trace/workloads.hh"
 
@@ -42,15 +41,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ReproSuite suite;
+    ReproSuite suite(SystemConfig::paperDefault(),
+                     std::max<std::size_t>(1, jobs));
     StepSensitivity sensitivity(suite.runner());
-    std::unique_ptr<exec::ThreadPool> pool;
-    if (jobs > 0) {
-        // Fans the per-sample cluster kernel of both characterizations
-        // out; the table is bit-identical to the serial run.
-        pool = std::make_unique<exec::ThreadPool>(jobs);
-        sensitivity.setThreadPool(pool.get());
-    }
+    // Fans the per-sample cluster kernel of both characterizations
+    // out; the table is bit-identical to the serial run.
+    if (jobs > 0)
+        sensitivity.setThreadPool(&suite.service().pool());
     const StepSensitivityResult result = sensitivity.compare(
         workloadByName("gobmk"), budget, threshold,
         SettingsSpace::coarse(), SettingsSpace::fine());

@@ -29,8 +29,10 @@ main()
     const double slack = 0.10;
 
     ReproSuite suite;
+    const std::vector<std::string> workloads = {"gobmk", "lbm"};
+    suite.characterize(workloads);
 
-    for (const std::string workload : {"gobmk", "lbm"}) {
+    for (const std::string &workload : workloads) {
         const MeasuredGrid &grid = suite.grid(workload);
         BaselineComparison comparison(grid);
 

@@ -28,6 +28,7 @@ main()
     const double budget = 1.3;
 
     ReproSuite suite;
+    suite.characterize(ReproSuite::benchmarkNames());
     Table table({"benchmark", "mean |err| %", "p95 |err| %",
                  "violations %", "over-conservative %"});
     table.setTitle("online Emin prediction vs brute force (I=1.3)");

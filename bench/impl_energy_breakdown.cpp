@@ -89,6 +89,7 @@ int
 main()
 {
     ReproSuite suite;
+    suite.characterize(ReproSuite::benchmarkNames());
     const CpuPowerModel cpu = CpuPowerModel::paperDefault();
     const DramPowerModel dram = DramPowerModel::paperDefault();
 

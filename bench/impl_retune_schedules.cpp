@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "common/args.hh"
 #include "common/table.hh"
@@ -57,9 +56,8 @@ main(int argc, char **argv)
 
     ReproSuite suite(SystemConfig::paperDefault(),
                      std::max<std::size_t>(1, jobs));
-    std::unique_ptr<exec::ThreadPool> pool;
-    if (jobs > 0)
-        pool = std::make_unique<exec::ThreadPool>(jobs);
+    exec::ThreadPool *pool = jobs > 0 ? &suite.service().pool() : nullptr;
+    suite.characterize(ReproSuite::benchmarkNames());
 
     Table table({"benchmark", "policy", "events", "transitions",
                  "time+oh (ms)", "energy (mJ)", "achieved I",
@@ -74,7 +72,7 @@ main(int argc, char **argv)
             loop.setJournal(&journal);
 
         const OfflineProfile profile = OfflineProfile::fromRegions(
-            name, a.regions.find(budget, threshold, pool.get()),
+            name, a.regions.find(budget, threshold, pool),
             grid.space());
 
         const TuningLoopResult results[] = {

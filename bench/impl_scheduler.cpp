@@ -19,6 +19,7 @@ int
 main()
 {
     ReproSuite suite;
+    suite.characterize({"gobmk", "bzip2", "lbm", "milc"});
 
     std::vector<AppTask> apps(4);
     apps[0].name = "gobmk";

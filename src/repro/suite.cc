@@ -1,5 +1,7 @@
 #include "repro/suite.hh"
 
+#include <algorithm>
+
 #include "trace/workloads.hh"
 
 namespace mcdvfs
@@ -41,6 +43,40 @@ ReproSuite::grid(const std::string &workload)
                  .first;
     }
     return *it->second;
+}
+
+void
+ReproSuite::characterize(const std::vector<std::string> &workloads)
+{
+    struct Pending
+    {
+        std::string name;
+        WorkloadProfile profile;
+        std::shared_ptr<const MeasuredGrid> grid;
+    };
+
+    // Resolve every name first, so an unknown one throws before any
+    // build starts.
+    std::vector<Pending> pending;
+    for (const std::string &name : workloads) {
+        const bool seen = std::any_of(
+            pending.begin(), pending.end(),
+            [&](const Pending &p) { return p.name == name; });
+        if (!seen && pinned_.count(name) == 0)
+            pending.push_back({name, workloadByName(name), nullptr});
+    }
+
+    // Largest first, so the longest build never starts last.
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Pending &a, const Pending &b) {
+                         return a.profile.sampleCount() >
+                                b.profile.sampleCount();
+                     });
+    service_.pool().parallelFor(0, pending.size(), [&](std::size_t i) {
+        pending[i].grid = service_.grid(pending[i].profile, coarse_);
+    });
+    for (Pending &p : pending)
+        pinned_.emplace(std::move(p.name), std::move(p.grid));
 }
 
 } // namespace mcdvfs

@@ -6,8 +6,9 @@
  * benchmarks over the coarse 70-setting space.  ReproSuite serves them
  * through the characterization service, so a binary touching several
  * figures pays for each characterization once (the service's grid
- * cache) and can spread the per-setting model evaluation over worker
- * threads (@c jobs).
+ * cache).  A binary that reads several workloads names them up front
+ * (characterize()), and their independent builds run side by side on
+ * the service's pool.
  */
 
 #ifndef MCDVFS_REPRO_SUITE_HH
@@ -30,8 +31,10 @@ class ReproSuite
   public:
     /**
      * @param config system configuration shared by every grid
-     * @param jobs worker threads for grid construction (1 = serial;
-     *        results are bit-identical either way)
+     * @param jobs worker threads of the service's pool (0 is promoted
+     *        to 1).  Grid builds and characterize() run on the calling
+     *        thread plus these workers; results are bit-identical at
+     *        any count.
      */
     explicit ReproSuite(const SystemConfig &config =
                             SystemConfig::paperDefault(),
@@ -50,6 +53,17 @@ class ReproSuite
      * @throws FatalError for unknown workload names
      */
     const MeasuredGrid &grid(const std::string &workload);
+
+    /**
+     * Build the coarse grid of every listed workload that grid() has
+     * not served yet, side by side on the service's pool (the calling
+     * thread participates), largest workload first.  Duplicate names
+     * build once.  grid() then serves the results unchanged.
+     *
+     * @throws FatalError for unknown workload names, before any build
+     *         starts
+     */
+    void characterize(const std::vector<std::string> &workloads);
 
     /** The configured grid runner (for fine-grid experiments). */
     GridRunner &runner() { return runner_; }

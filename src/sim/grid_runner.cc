@@ -133,16 +133,21 @@ GridRunner::GridRunner(const SystemConfig &config)
 MeasuredGrid
 GridRunner::run(const WorkloadProfile &workload, const SettingsSpace &space)
 {
-    SampleSimulator simulator(config_.sampler);
-    simulator.setProfileCache(profileCache_);
-    obs::TraceSpan characterize_span("sim.characterize");
-    const obs::Clock::time_point characterize_start = obs::metricsNow();
-    const std::vector<SampleProfile> profiles =
-        simulator.characterize(workload);
-    gridMetrics().characterizeNs.add(
-        obs::elapsedNs(characterize_start));
-    gridMetrics().warmupNs.add(simulator.lastCharacterizeStats().warmupNs);
-    characterize_span.end();
+    std::vector<SampleProfile> profiles;
+    {
+        // Scoped so the simulator's cache state is freed before the
+        // grid kernel runs.
+        SampleSimulator simulator(config_.sampler);
+        simulator.setProfileCache(profileCache_);
+        obs::TraceSpan characterize_span("sim.characterize");
+        const obs::Clock::time_point characterize_start =
+            obs::metricsNow();
+        profiles = simulator.characterize(workload);
+        gridMetrics().characterizeNs.add(
+            obs::elapsedNs(characterize_start));
+        gridMetrics().warmupNs.add(
+            simulator.lastCharacterizeStats().warmupNs);
+    }
     return runWithProfiles(workload.name(), profiles, space,
                            workload.modeledInstructionsPerSample());
 }

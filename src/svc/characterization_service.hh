@@ -100,9 +100,9 @@ struct TuningResult
 struct ServiceOptions
 {
     /**
-     * Worker threads for grid builds and batch fan-out; 1 keeps
-     * everything on the calling thread (still correct, see
-     * ThreadPool), 0 is promoted to 1.
+     * Worker threads for grid builds and batch fan-out; 0 is promoted
+     * to 1.  A parallel loop runs on the calling thread plus these
+     * workers, so 1 means two threads share a build's grid kernel.
      */
     std::size_t jobs = 1;
     /** Grids kept by the LRU cache. */
