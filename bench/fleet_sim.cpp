@@ -567,9 +567,10 @@ main(int argc, char **argv)
 
     daemon::DaemonOptions options;
     options.service.jobs = jobs;
-    // Size the caches to the fleet with headroom for shard imbalance
-    // (per-shard LRU capacity is total/shards), so the warm phase
-    // measures the store, not eviction noise.
+    // Size the caches above the fleet's working set (one grid per
+    // variant, one analysis per class), so no phase evicts and the
+    // warm phase measures the store, not eviction noise.  The sizes
+    // are those the committed fleet baseline was recorded with.
     options.service.cacheCapacity =
         std::max<std::size_t>(32, 8 * variants);
     options.service.analysisCapacity =

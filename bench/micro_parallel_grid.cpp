@@ -109,7 +109,7 @@ BENCHMARK(BM_ServiceSubmitCacheHit)->Unit(benchmark::kMicrosecond);
 void
 BM_ServiceGridCacheHit(benchmark::State &state)
 {
-    // Pure cache-hit latency: fingerprint + sharded LRU lookup,
+    // Pure cache-hit latency: fingerprint + LRU lookup,
     // without the analysis chain of a full submit().
     svc::CharacterizationService service;
     const WorkloadProfile workload = workloadByName("gobmk");

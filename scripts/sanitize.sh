@@ -6,7 +6,7 @@
 #      anywhere in the library;
 #   2. TSan over the concurrency-heavy subset (exec thread pool and
 #      its work-stealing strips, svc cache/service, the profile
-#      cache's sharded LRU and the dedup grid evaluation, obs metrics
+#      cache's single-lock LRU and the dedup grid evaluation, obs metrics
 #      and trace rings, trace enable/disable toggling, the telemetry
 #      sampler thread and SLO watchdog, the tuning daemon and its
 #      snapshot store, the streaming-resume path, the snapshot
@@ -68,7 +68,7 @@ if [ "$run_tsan" = 1 ]; then
         daemon_snapshot_fuzz_test integration_gpu_test \
         repro_suite_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|ReproSuite|GridAnalyses'
+        -R 'ThreadPool|LruCache|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|ReproSuite|GridAnalyses'
 fi
 
 echo "sanitize: all requested passes clean"

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -265,24 +265,20 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
 
     // Coalesce by grid identity: every group characterizes its grid
     // once; distinct groups run as independent pool tasks.
-    struct Group
-    {
-        svc::GridKey key;
-        std::shared_ptr<std::vector<Pending>> members;
-    };
-    std::map<std::uint64_t, Group> groups;
+    std::unordered_map<svc::GridKey,
+                       std::shared_ptr<std::vector<Pending>>,
+                       svc::GridKeyHash>
+        groups;
     for (Pending &pending : batch) {
-        const svc::GridKey key = service_.keyFor(
-            pending.request.workload, pending.request.space);
-        Group &group = groups[key.combined()];
-        if (group.members == nullptr) {
-            group.key = key;
-            group.members = std::make_shared<std::vector<Pending>>();
+        auto &members = groups[service_.keyFor(pending.request.workload,
+                                               pending.request.space)];
+        if (members == nullptr) {
+            members = std::make_shared<std::vector<Pending>>();
         } else {
             coalesced_.fetch_add(1, std::memory_order_relaxed);
             daemonMetrics().coalesced.add(1);
         }
-        group.members->push_back(std::move(pending));
+        members->push_back(std::move(pending));
     }
 
     std::lock_guard<std::mutex> lock(inflightMutex_);
@@ -294,9 +290,9 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
                                   std::future_status::ready;
                        }),
         inflight_.end());
-    for (auto &[digest, group] : groups) {
+    for (const auto &[key, members] : groups) {
         inflight_.push_back(service_.pool().submit(
-            [this, key = group.key, members = group.members] {
+            [this, key = key, members = members] {
                 runGroup(key, members);
             }));
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded LRU cache of analysis results.
+ * LRU cache of analysis results.
  *
  * A grid served from GridCache still pays the §V/§VI analysis chain on
  * every request — optimal trajectory, clusters, stable regions — which
@@ -11,17 +11,16 @@
  * content fingerprint plus the bit patterns of budget and threshold,
  * so repeated requests skip the analysis chain too.
  *
- * Structure mirrors GridCache: sharded key space with a mutex per
- * shard, shard capacities summing exactly to the configured total, and
- * shared_ptr values so eviction never invalidates a result a caller
- * still holds.  Process-wide counters are exported as
+ * Both of its stores are exec::LruCache instances (one lock, exact
+ * capacity, shared_ptr values so eviction never invalidates a result a
+ * caller still holds).  Result counters are exported as
  * svc.analysis.{hits,misses,evictions,inserts} and the
  * svc.analysis.entries gauge.
  *
  * Next to finished results the cache keeps a second, independently
- * sized LRU store of AnalysisCheckpoints — resumable incremental
- * state keyed by (grid *content prefix* digest, budget, threshold),
- * see MeasuredGrid::prefixDigest.  A streaming workload that grew by a
+ * sized store of AnalysisCheckpoints — resumable incremental state
+ * keyed by (grid *content prefix* digest, budget, threshold), see
+ * MeasuredGrid::prefixDigest.  A streaming workload that grew by a
  * few samples has a different result key (its full fingerprint
  * changed) but shares every prefix digest with its shorter past, so
  * the service can find the longest checkpointed prefix and analyze
@@ -34,16 +33,16 @@
 #ifndef MCDVFS_SVC_ANALYSIS_CACHE_HH
 #define MCDVFS_SVC_ANALYSIS_CACHE_HH
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.hh"
 #include "core/incremental_analysis.hh"
 #include "core/stable_regions.hh"
+#include "exec/lru_cache.hh"
 
 namespace mcdvfs
 {
@@ -59,10 +58,30 @@ struct AnalysisKey
     double threshold = 0.0;
 
     /** Exact bit-pattern equality on the doubles (cache identity). */
-    bool operator==(const AnalysisKey &other) const;
+    bool
+    operator==(const AnalysisKey &other) const
+    {
+        return grid == other.grid &&
+               std::bit_cast<std::uint64_t>(budget) ==
+                   std::bit_cast<std::uint64_t>(other.budget) &&
+               std::bit_cast<std::uint64_t>(threshold) ==
+                   std::bit_cast<std::uint64_t>(other.threshold);
+    }
 
-    /** Combined 64-bit digest (shard selection and map hashing). */
-    std::uint64_t combined() const;
+    /**
+     * Byte-wise FNV-1a over the grid digest and the parameter bit
+     * patterns: the map hash and the name of the snapshot file.
+     */
+    std::uint64_t
+    combined() const
+    {
+        std::uint64_t hash = kFnvOffsetBasis;
+        for (const std::uint64_t part :
+             {grid, std::bit_cast<std::uint64_t>(budget),
+              std::bit_cast<std::uint64_t>(threshold)})
+            hash = fnv1aWordBytes(hash, part);
+        return hash;
+    }
 };
 
 /** One cached analysis: the §V/§VI chain's output for its key. */
@@ -73,11 +92,11 @@ struct AnalysisResult
     std::vector<StableRegion> regions;
 };
 
-/** Sharded, mutex-guarded LRU cache of AnalysisResults. */
+/** LRU caches of AnalysisResults and of resumable checkpoints. */
 class AnalysisCache
 {
   public:
-    /** Hit/miss/eviction counters (monotonic over the cache's life). */
+    /** Result-store and checkpoint-store counters. */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -92,31 +111,38 @@ class AnalysisCache
     };
 
     /**
-     * @param capacity maximum cached analyses across all shards (>= 1)
-     * @param shards number of independently locked shards (>= 1);
-     *        per-shard capacities sum exactly to @c capacity
-     * @param checkpoint_capacity maximum resumable checkpoints across
-     *        all shards; 0 disables the checkpoint store (every walk
-     *        misses, inserts are dropped)
-     * @throws FatalError for a zero capacity or shard count
+     * @param capacity maximum cached analyses (>= 1)
+     * @param checkpoint_capacity maximum resumable checkpoints; 0
+     *        disables the checkpoint store (every walk misses, inserts
+     *        are dropped)
+     * @throws FatalError for a zero capacity
      */
-    explicit AnalysisCache(std::size_t capacity, std::size_t shards = 8,
-                           std::size_t checkpoint_capacity = 64);
-
-    ~AnalysisCache();
+    explicit AnalysisCache(std::size_t capacity,
+                           std::size_t checkpoint_capacity = 64)
+        : results_(capacity, "svc.analysis."),
+          checkpoints_(std::max<std::size_t>(checkpoint_capacity, 1),
+                       "svc.analysis.checkpoint_"),
+          checkpointCapacity_(checkpoint_capacity)
+    {
+    }
 
     /**
      * Look up an analysis, refreshing its LRU position.  Counts a hit
      * or a miss; returns nullptr on miss.
      */
-    std::shared_ptr<const AnalysisResult> find(const AnalysisKey &key);
+    std::shared_ptr<const AnalysisResult>
+    find(const AnalysisKey &key)
+    {
+        return results_.find(key);
+    }
 
-    /**
-     * Insert (or refresh) an analysis, evicting the shard's least
-     * recently used entry when the shard is full.
-     */
-    void insert(const AnalysisKey &key,
-                std::shared_ptr<const AnalysisResult> result);
+    /** Insert (or refresh) an analysis, evicting the LRU one if full. */
+    void
+    insert(const AnalysisKey &key,
+           std::shared_ptr<const AnalysisResult> result)
+    {
+        results_.insert(key, std::move(result));
+    }
 
     /**
      * Find the checkpoint of the longest cached prefix.  @c keys must
@@ -126,76 +152,54 @@ class AnalysisCache
      * The whole walk counts one checkpoint hit or one miss, however
      * many prefixes it probes.  Returns nullptr on miss.
      */
-    std::shared_ptr<const AnalysisCheckpoint> findLongestCheckpoint(
-        const std::vector<AnalysisKey> &keys);
+    std::shared_ptr<const AnalysisCheckpoint>
+    findLongestCheckpoint(const std::vector<AnalysisKey> &keys)
+    {
+        if (checkpointCapacity_ == 0)
+            return checkpoints_.findFirst({});
+        return checkpoints_.findFirst(keys);
+    }
 
     /**
      * Insert (or refresh) a resumable checkpoint under the digest of
      * the prefix it covers.  Dropped when the store is disabled.
      */
-    void insertCheckpoint(
-        const AnalysisKey &key,
-        std::shared_ptr<const AnalysisCheckpoint> checkpoint);
+    void
+    insertCheckpoint(const AnalysisKey &key,
+                     std::shared_ptr<const AnalysisCheckpoint> checkpoint)
+    {
+        if (checkpointCapacity_ > 0)
+            checkpoints_.insert(key, std::move(checkpoint));
+    }
 
     /** Drop every entry, results and checkpoints (counters kept). */
-    void clear();
+    void
+    clear()
+    {
+        results_.clear();
+        checkpoints_.clear();
+    }
 
-    Stats stats() const;
-    std::size_t capacity() const { return capacity_; }
+    Stats
+    stats() const
+    {
+        const auto results = results_.stats();
+        const auto checkpoints = checkpoints_.stats();
+        return Stats{results.hits,       results.misses,
+                     results.evictions,  results.entries,
+                     checkpoints.hits,   checkpoints.misses,
+                     checkpoints.evictions,
+                     checkpoints.entries};
+    }
+
+    std::size_t capacity() const { return results_.capacity(); }
     std::size_t checkpointCapacity() const { return checkpointCapacity_; }
-    std::size_t shardCount() const { return shards_.size(); }
 
   private:
-    struct Entry
-    {
-        AnalysisKey key;
-        std::shared_ptr<const AnalysisResult> result;
-    };
-
-    /** One LRU list + index, guarded by its own mutex. */
-    struct Shard
-    {
-        std::mutex mutex;
-        /** Entries this shard may hold (shard capacities sum to
-         *  the cache capacity). */
-        std::size_t capacity = 1;
-        /** Front = most recently used. */
-        std::list<Entry> lru;
-        std::unordered_map<std::uint64_t, std::list<Entry>::iterator>
-            index;
-    };
-
-    /** Checkpoint-store sibling of Shard (own LRU + index + lock). */
-    struct CheckpointEntry
-    {
-        AnalysisKey key;
-        std::shared_ptr<const AnalysisCheckpoint> checkpoint;
-    };
-
-    struct CheckpointShard
-    {
-        std::mutex mutex;
-        std::size_t capacity = 1;
-        /** Front = most recently used. */
-        std::list<CheckpointEntry> lru;
-        std::unordered_map<std::uint64_t,
-                           std::list<CheckpointEntry>::iterator>
-            index;
-    };
-
-    Shard &shardFor(const AnalysisKey &key);
-    CheckpointShard &checkpointShardFor(const AnalysisKey &key);
-
-    std::size_t capacity_;
+    exec::LruCache<AnalysisKey, AnalysisResult> results_;
+    /** Sized at least 1; checkpointCapacity_ 0 keeps it empty. */
+    exec::LruCache<AnalysisKey, AnalysisCheckpoint> checkpoints_;
     std::size_t checkpointCapacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::unique_ptr<CheckpointShard>> checkpointShards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> checkpointHits_{0};
-    std::atomic<std::uint64_t> checkpointMisses_{0};
-    std::atomic<std::uint64_t> checkpointEvictions_{0};
 };
 
 } // namespace svc

@@ -59,12 +59,10 @@ CharacterizationService::CharacterizationService(const SystemConfig &config,
       pool_(std::max<std::size_t>(1, options.jobs)),
       profileCache_(options.profileCacheCapacity > 0
                         ? std::make_unique<ProfileCache>(
-                              options.profileCacheCapacity,
-                              options.profileCacheShards, "svc.profile")
+                              options.profileCacheCapacity, "svc.profile")
                         : nullptr),
-      runner_(config_), cache_(options.cacheCapacity, options.cacheShards),
-      analysisCache_(options.analysisCapacity, options.analysisShards,
-                     options.checkpointCapacity)
+      runner_(config_), cache_(options.cacheCapacity),
+      analysisCache_(options.analysisCapacity, options.checkpointCapacity)
 {
     runner_.setThreadPool(&pool_);
     if (profileCache_ != nullptr) {
@@ -126,8 +124,6 @@ CharacterizationService::gridFor(const GridKey &key,
                                  const SettingsSpace &space,
                                  bool &cache_hit)
 {
-    const std::uint64_t digest = key.combined();
-
     if (auto cached = cache_.find(key)) {
         obs::traceInstant("svc.cache_hit");
         cache_hit = true;
@@ -142,11 +138,11 @@ CharacterizationService::gridFor(const GridKey &key,
     std::shared_future<std::shared_ptr<const MeasuredGrid>> watch;
     {
         std::lock_guard<std::mutex> lock(inflightMutex_);
-        const auto it = inflight_.find(digest);
+        const auto it = inflight_.find(key);
         if (it != inflight_.end()) {
             watch = it->second;
         } else {
-            inflight_.emplace(digest, promise.get_future().share());
+            inflight_.emplace(key, promise.get_future().share());
         }
     }
     if (watch.valid()) {
@@ -168,7 +164,7 @@ CharacterizationService::gridFor(const GridKey &key,
         cache_.insert(key, grid);
         {
             std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(digest);
+            inflight_.erase(key);
         }
         serviceMetrics().inflightBuilds.add(-1);
         promise.set_value(grid);
@@ -177,7 +173,7 @@ CharacterizationService::gridFor(const GridKey &key,
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(digest);
+            inflight_.erase(key);
         }
         serviceMetrics().inflightBuilds.add(-1);
         promise.set_exception(std::current_exception());
@@ -330,32 +326,21 @@ CharacterizationService::submitBatch(
 
     // Group requests sharing a grid so each distinct characterization
     // runs exactly once, then fan the groups out across the pool.
-    struct Group
-    {
-        GridKey key;
-        std::vector<std::size_t> members;
-    };
-    std::map<std::uint64_t, Group> groups;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const GridKey key = keyFor(requests[i].workload,
-                                   requests[i].space);
-        Group &group = groups[key.combined()];
-        group.key = key;
-        group.members.push_back(i);
-    }
+    std::unordered_map<GridKey, std::vector<std::size_t>, GridKeyHash>
+        groups;
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        groups[keyFor(requests[i].workload, requests[i].space)].push_back(i);
 
     std::vector<std::future<void>> pending;
     pending.reserve(groups.size());
-    for (const auto &[digest, group] : groups) {
+    for (const auto &[key, members] : groups) {
         pending.push_back(pool_.submit([this, &requests, &results,
-                                        &group, batch_start] {
+                                        &key, &members, batch_start] {
             bool cache_hit = false;
-            const std::vector<std::size_t> &members = group.members;
-            auto grid = gridFor(group.key,
-                                requests[members.front()].workload,
+            auto grid = gridFor(key, requests[members.front()].workload,
                                 requests[members.front()].space,
                                 cache_hit);
-            const std::uint64_t grid_digest = group.key.combined();
+            const std::uint64_t grid_digest = key.combined();
             for (std::size_t j = 0; j < members.size(); ++j) {
                 const std::size_t i = members[j];
                 // Later members of the group reuse the first build.

@@ -9,16 +9,16 @@
  * budget?" — without the caller touching GridRunner or the analysis
  * chain.
  *
- * Four mechanisms make repeated and concurrent traffic cheap:
+ * Five mechanisms make repeated and concurrent traffic cheap:
  *  - the per-setting model evaluation of a grid build fans out over
  *    the pool (bit-identical to the serial build, see GridRunner);
- *  - finished grids land in a sharded LRU cache keyed by content
+ *  - finished grids land in an LRU cache keyed by content
  *    fingerprints, so any request over the same (workload, space,
  *    config) skips characterization entirely;
  *  - identical characterizations already in flight are coalesced:
  *    concurrent submitters of the same key wait for the first build
  *    instead of duplicating it;
- *  - finished analyses land in a second sharded LRU cache keyed by
+ *  - finished analyses land in a second LRU cache keyed by
  *    (grid fingerprint, budget, threshold), so repeated tuning
  *    requests skip the §V/§VI analysis chain as well;
  *  - streaming workloads resume: when the result cache misses, the
@@ -34,9 +34,9 @@
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "core/stable_regions.hh"
@@ -107,12 +107,8 @@ struct ServiceOptions
     std::size_t jobs = 1;
     /** Grids kept by the LRU cache. */
     std::size_t cacheCapacity = 32;
-    /** Cache shards (lock granularity). */
-    std::size_t cacheShards = 8;
     /** Analyses kept by the analysis LRU cache. */
     std::size_t analysisCapacity = 64;
-    /** Analysis-cache shards (lock granularity). */
-    std::size_t analysisShards = 8;
     /**
      * Incremental-analysis checkpoints kept by the analysis cache's
      * checkpoint store; 0 disables streaming resume entirely.
@@ -131,8 +127,6 @@ struct ServiceOptions
      * cache or the snapshot store.
      */
     std::size_t profileCacheCapacity = 0;
-    /** Profile-cache shards (lock granularity). */
-    std::size_t profileCacheShards = 8;
 };
 
 /** Thread-pooled, grid-cached tuning service. */
@@ -256,8 +250,9 @@ class CharacterizationService
 
     /** Builds of grids currently characterizing, for coalescing. */
     std::mutex inflightMutex_;
-    std::map<std::uint64_t,
-             std::shared_future<std::shared_ptr<const MeasuredGrid>>>
+    std::unordered_map<GridKey,
+                       std::shared_future<std::shared_ptr<const MeasuredGrid>>,
+                       GridKeyHash>
         inflight_;
 };
 

@@ -180,7 +180,7 @@ TEST(GridPrefixDigest, MutationInvalidatesTheDigest)
 
 TEST(AnalysisCacheCheckpoints, LongestPrefixWinsAndCountsOnce)
 {
-    svc::AnalysisCache cache(4, 2, 4);
+    svc::AnalysisCache cache(4, 4);
     const auto make = [](std::size_t samples) {
         auto cp = std::make_shared<AnalysisCheckpoint>();
         cp->samples = samples;
@@ -212,8 +212,8 @@ TEST(AnalysisCacheCheckpoints, LongestPrefixWinsAndCountsOnce)
 
 TEST(AnalysisCacheCheckpoints, EvictsLeastRecentlyUsed)
 {
-    // One shard of capacity 1: the second insert evicts the first.
-    svc::AnalysisCache cache(1, 1, 1);
+    // Capacity 1: the second insert evicts the first.
+    svc::AnalysisCache cache(1, 1);
     const svc::AnalysisKey first{0xaaaa, 1.3, 0.03};
     const svc::AnalysisKey second{0xbbbb, 1.3, 0.03};
     cache.insertCheckpoint(first,
@@ -229,7 +229,7 @@ TEST(AnalysisCacheCheckpoints, EvictsLeastRecentlyUsed)
 
 TEST(AnalysisCacheCheckpoints, ZeroCapacityDisablesTheStore)
 {
-    svc::AnalysisCache cache(4, 2, 0);
+    svc::AnalysisCache cache(4, 0);
     EXPECT_EQ(cache.checkpointCapacity(), 0u);
     const svc::AnalysisKey key{0x1234, 1.3, 0.03};
     cache.insertCheckpoint(key,

@@ -138,7 +138,7 @@ TEST(ObsInstrumentation, GridCacheCountersAndEntriesGauge)
     auto grid = std::make_shared<const MeasuredGrid>(
         "g", SettingsSpace::coarse(), 4, 10'000'000);
     {
-        svc::GridCache cache(1, /*shards=*/1);
+        svc::GridCache cache(1);
         EXPECT_EQ(cache.find(svc::GridKey{1, 1, 1}), nullptr);  // miss
         cache.insert(svc::GridKey{1, 1, 1}, grid);
         EXPECT_NE(cache.find(svc::GridKey{1, 1, 1}), nullptr);  // hit
@@ -192,7 +192,7 @@ TEST(ObsInstrumentation, ServiceCoalescesConcurrentIdenticalBuilds)
         counterValue("svc.service.coalesced_waits");
 
     svc::CharacterizationService service(test::fastSystemConfig(),
-                                         svc::ServiceOptions{4, 32, 8});
+                                         svc::ServiceOptions{4, 32});
     constexpr std::size_t kThreads = 8;
     std::mutex mutex;
     std::condition_variable gate;

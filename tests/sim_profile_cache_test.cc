@@ -1,6 +1,6 @@
 /**
  * @file
- * ProfileCache unit tests: LRU/shard mechanics and stats, phase
+ * ProfileCache unit tests: LRU mechanics and stats, phase
  * fingerprints, PerPhase seed sharing, and the canonical-
  * characterization determinism that makes memoized profiles safe to
  * share across workloads and build orders.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -46,12 +47,12 @@ memPhase()
     return spec;
 }
 
-SampleProfile
+std::shared_ptr<const SampleProfile>
 profileStub(double base_cpi)
 {
     SampleProfile profile;
     profile.baseCpi = base_cpi;
-    return profile;
+    return std::make_shared<const SampleProfile>(profile);
 }
 
 void
@@ -73,7 +74,7 @@ expectSameProfile(const SampleProfile &a, const SampleProfile &b)
 
 TEST(ProfileCache, LruEvictsOldestWithinCapacity)
 {
-    ProfileCache cache(2, /*shards=*/1);
+    ProfileCache cache(2);
     const ProfileKey k1{1, 0, 0, 0};
     const ProfileKey k2{2, 0, 0, 0};
     const ProfileKey k3{3, 0, 0, 0};
@@ -94,7 +95,7 @@ TEST(ProfileCache, LruEvictsOldestWithinCapacity)
 
 TEST(ProfileCache, FindRefreshesLruPosition)
 {
-    ProfileCache cache(2, /*shards=*/1);
+    ProfileCache cache(2);
     const ProfileKey k1{1, 0, 0, 0};
     const ProfileKey k2{2, 0, 0, 0};
     const ProfileKey k3{3, 0, 0, 0};
@@ -120,7 +121,7 @@ TEST(ProfileCache, KeyDistinguishesEveryComponent)
     EXPECT_NE(base.combined(), by_instr.combined());
     EXPECT_NE(base.combined(), by_config.combined());
 
-    ProfileCache cache(8, /*shards=*/2);
+    ProfileCache cache(8);
     cache.insert(base, profileStub(1.0));
     EXPECT_EQ(cache.find(by_phase), nullptr);
     EXPECT_EQ(cache.find(by_seed), nullptr);
@@ -129,7 +130,7 @@ TEST(ProfileCache, KeyDistinguishesEveryComponent)
 
 TEST(ProfileCache, ClearDropsEntriesKeepsCounters)
 {
-    ProfileCache cache(4, /*shards=*/2);
+    ProfileCache cache(4);
     cache.insert(ProfileKey{1, 0, 0, 0}, profileStub(1.0));
     cache.insert(ProfileKey{2, 0, 0, 0}, profileStub(2.0));
     ASSERT_NE(cache.find(ProfileKey{1, 0, 0, 0}), nullptr);

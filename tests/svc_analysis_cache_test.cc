@@ -61,8 +61,7 @@ TEST(AnalysisCache, KeyCoversEveryComponent)
 
 TEST(AnalysisCache, EvictsLeastRecentlyUsed)
 {
-    // One shard so the LRU order is global and deterministic.
-    svc::AnalysisCache cache(2, /*shards=*/1);
+    svc::AnalysisCache cache(2);
     cache.insert(keyOf(1), dummyResult(1));
     cache.insert(keyOf(2), dummyResult(2));
     // Touch key 1 so key 2 becomes the eviction victim.
@@ -78,7 +77,7 @@ TEST(AnalysisCache, EvictsLeastRecentlyUsed)
 
 TEST(AnalysisCache, EvictionNeverInvalidatesHeldResults)
 {
-    svc::AnalysisCache cache(1, /*shards=*/1);
+    svc::AnalysisCache cache(1);
     cache.insert(keyOf(1), dummyResult(7));
     const auto held = cache.find(keyOf(1));
     ASSERT_NE(held, nullptr);
@@ -102,9 +101,6 @@ TEST(AnalysisCache, ClearDropsEntriesKeepsCounters)
 TEST(AnalysisCache, InvalidSizingFatal)
 {
     EXPECT_THROW(svc::AnalysisCache(0), FatalError);
-    EXPECT_THROW(svc::AnalysisCache(4, 0), FatalError);
-    svc::AnalysisCache cache(2, /*shards=*/16);
-    EXPECT_LE(cache.shardCount(), 2u);
 }
 
 TEST(AnalysisService, RepeatedRequestHitsAnalysisCache)

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "svc/analysis_cache.hh"
 #include "svc/fingerprint.hh"
+#include "svc/grid_cache.hh"
 #include "test_grid.hh"
 
 namespace mcdvfs
@@ -100,6 +102,25 @@ TEST(Fingerprint, ConfigHashCoversTheGpuPowerParams)
               svc::fingerprintConfig(test::fastSystemConfig()));
     EXPECT_NE(svc::fingerprintConfig(base),
               svc::fingerprintConfig(hotter));
+}
+
+TEST(Fingerprint, CombinedDigestsArePinned)
+{
+    // Snapshot files are named grid-<hex>.snap and analysis-<hex>.snap
+    // after these digests: any change strands every on-disk store.
+    EXPECT_EQ(svc::GridKey{}.combined(), 0x81d23fd7003c2305ull);
+    EXPECT_EQ((svc::GridKey{1, 2, 3}.combined()),
+              0xda2bfb225e0d1f05ull);
+    EXPECT_EQ((svc::GridKey{0x0123456789abcdefull, 0xfedcba9876543210ull,
+                            0xdeadbeefcafef00dull}
+                   .combined()),
+              0xd4fd52f383e193eeull);
+    EXPECT_EQ(svc::AnalysisKey{}.combined(), 0x81d23fd7003c2305ull);
+    EXPECT_EQ((svc::AnalysisKey{0x0123456789abcdefull, 1.3, 0.03}
+                   .combined()),
+              0xf7065cf5d259f279ull);
+    EXPECT_EQ((svc::AnalysisKey{42, 1.0, -0.0}.combined()),
+              0xb6bb1ba9338d8e6eull);
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  * concurrent traffic:
  *
  *   hits + misses == lookups issued
- *   entries       <= configured capacity (per-shard capacities sum
- *                    exactly to the total; no rounding overrun)
+ *   entries       <= configured capacity, and == capacity once that
+ *                    many distinct keys went in
  *   evictions     monotone non-decreasing
  *   distinct-key inserts - evictions == resident entries
  */
@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "svc/characterization_service.hh"
 #include "svc/grid_cache.hh"
 #include "test_grid.hh"
@@ -53,16 +54,9 @@ checkInvariants(const svc::GridCache &cache, std::uint64_t lookups,
 
 TEST(GridCacheProperty, RandomOpsKeepInvariants)
 {
-    // Deliberately include capacities that do not divide evenly by
-    // the shard count: the ceil-rounded per-shard sizing this test
-    // originally exposed let the cache exceed its configured total.
-    const std::size_t combos[][2] = {
-        {1, 1}, {1, 8}, {2, 2}, {5, 4}, {7, 3}, {8, 8}, {13, 8},
-    };
-    for (const auto &combo : combos) {
-        const std::size_t capacity = combo[0], shards = combo[1];
-        svc::GridCache cache(capacity, shards);
-        std::mt19937_64 rng(99 + capacity * 31 + shards);
+    for (const std::size_t capacity : {1u, 2u, 5u, 7u, 8u, 13u}) {
+        svc::GridCache cache(capacity);
+        std::mt19937_64 rng(99 + capacity * 31);
         std::uniform_int_distribution<std::uint64_t> pick_key(1, 12);
         std::uniform_int_distribution<int> pick_op(0, 9);
 
@@ -87,25 +81,22 @@ TEST(GridCacheProperty, RandomOpsKeepInvariants)
 
 TEST(GridCacheProperty, DistinctInsertsBalanceEvictionsAndResidency)
 {
-    for (const std::size_t shards : {1u, 3u, 4u, 8u}) {
-        const std::size_t capacity = 5;
-        svc::GridCache cache(capacity, shards);
-        // Every key distinct: each insert adds exactly one entry or
-        // (once its shard is full) trades one for an eviction.
-        const std::size_t inserted = 40;
-        for (std::size_t id = 1; id <= inserted; ++id)
-            cache.insert(keyOf(id), dummyGrid());
+    const std::size_t capacity = 5;
+    svc::GridCache cache(capacity);
+    // Every key distinct: each insert adds exactly one entry or (once
+    // the cache is full) trades one for an eviction.
+    const std::size_t inserted = 40;
+    for (std::size_t id = 1; id <= inserted; ++id)
+        cache.insert(keyOf(id), dummyGrid());
 
-        const svc::GridCache::Stats stats = cache.stats();
-        EXPECT_LE(stats.entries, capacity) << "shards " << shards;
-        EXPECT_EQ(inserted - stats.evictions, stats.entries)
-            << "shards " << shards;
-    }
+    const svc::GridCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.entries, capacity);
+    EXPECT_EQ(inserted - stats.evictions, stats.entries);
 }
 
 TEST(GridCacheProperty, ReinsertingResidentKeysNeverGrows)
 {
-    svc::GridCache cache(3, /*shards=*/2);
+    svc::GridCache cache(3);
     for (int round = 0; round < 10; ++round) {
         for (std::uint64_t id = 1; id <= 3; ++id)
             cache.insert(keyOf(id), dummyGrid());
@@ -120,7 +111,7 @@ TEST(GridCacheProperty, ReinsertingResidentKeysNeverGrows)
 
 TEST(GridCacheProperty, ConcurrentTrafficKeepsAccountingExact)
 {
-    svc::GridCache cache(5, /*shards=*/4);
+    svc::GridCache cache(5);
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kOpsPerThread = 800;
 
@@ -164,7 +155,7 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kRounds = 3;
     svc::CharacterizationService service(test::fastSystemConfig(),
-                                         svc::ServiceOptions{2, 4, 4});
+                                         svc::ServiceOptions{2, 4});
 
     std::vector<svc::TuningRequest> batch;
     for (const double budget : {1.1, 1.5}) {
@@ -204,6 +195,68 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
     // at least one per distinct workload.
     EXPECT_GE(stats.misses, 2u);
     EXPECT_GE(stats.hits, 1u);
+}
+
+TEST(GridCacheProperty, HoldsCapacityDistinctKeysWithoutEviction)
+{
+    // Capacity is global: any N distinct keys fit in a cache of
+    // capacity N, however they hash, and the next one evicts exactly
+    // one entry.
+    std::mt19937_64 rng(2024);
+    for (const std::size_t capacity : {1u, 5u, 13u, 32u}) {
+        svc::GridCache cache(capacity);
+        std::vector<svc::GridKey> keys;
+        for (std::size_t i = 0; i < capacity; ++i)
+            keys.push_back(svc::GridKey{rng(), rng(), rng()});
+        for (const svc::GridKey &key : keys)
+            cache.insert(key, dummyGrid());
+        EXPECT_EQ(cache.stats().evictions, 0u)
+            << "capacity " << capacity;
+        EXPECT_EQ(cache.stats().entries, capacity);
+        for (const svc::GridKey &key : keys)
+            EXPECT_NE(cache.find(key), nullptr) << "capacity " << capacity;
+
+        cache.insert(svc::GridKey{0, 0, 0}, dummyGrid());
+        EXPECT_EQ(cache.stats().evictions, 1u);
+        EXPECT_EQ(cache.stats().entries, capacity);
+    }
+}
+
+TEST(GridCacheProperty, DefaultServiceServesAsManyGridsAsItsCapacity)
+{
+    // Prime a default-sized service with one grid per distinct
+    // workload up to its cache capacity: every read back must hit,
+    // and none may rebuild.
+    svc::CharacterizationService service(test::fastSystemConfig());
+    const std::size_t capacity = svc::ServiceOptions{}.cacheCapacity;
+    const auto grid =
+        std::make_shared<const MeasuredGrid>(test::steadyGrid());
+    std::vector<WorkloadProfile> workloads;
+    for (std::size_t i = 0; i < capacity; ++i) {
+        PhaseSpec spec;
+        spec.name = "steady";
+        workloads.emplace_back(
+            "steady", 8, [spec](std::size_t) { return spec; }, 1000 + i);
+        service.primeGrid(
+            service.keyFor(workloads.back(), SettingsSpace::coarse()),
+            grid);
+    }
+
+    obs::Counter builds =
+        obs::MetricsRegistry::global().counter("svc.service.grid_builds");
+    const std::uint64_t builds0 = builds.value();
+    for (const WorkloadProfile &workload : workloads) {
+        bool cache_hit = false;
+        EXPECT_EQ(
+            service.grid(workload, SettingsSpace::coarse(), cache_hit).get(),
+            grid.get());
+        EXPECT_TRUE(cache_hit);
+    }
+    EXPECT_EQ(builds.value(), builds0);
+    const svc::GridCache::Stats stats = service.cacheStats();
+    EXPECT_EQ(stats.hits, capacity);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
 }
 
 } // namespace

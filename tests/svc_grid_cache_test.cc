@@ -1,7 +1,8 @@
 /**
  * @file
  * GridCache and fingerprint tests: hit/miss/eviction accounting, LRU
- * order, and key isolation across workloads, spaces and configs.
+ * order, and key isolation across workloads, spaces and configs, also
+ * when every key hashes alike.
  */
 
 #include <gtest/gtest.h>
@@ -48,8 +49,7 @@ TEST(GridCache, MissThenHit)
 
 TEST(GridCache, EvictsLeastRecentlyUsed)
 {
-    // One shard so the LRU order is global and deterministic.
-    svc::GridCache cache(2, /*shards=*/1);
+    svc::GridCache cache(2);
     cache.insert(keyOf(1), dummyGrid("a"));
     cache.insert(keyOf(2), dummyGrid("b"));
     // Touch "a" so "b" becomes the eviction victim.
@@ -63,12 +63,9 @@ TEST(GridCache, EvictsLeastRecentlyUsed)
     EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(GridCache, ShardCountNeverExceedsCapacity)
+TEST(GridCache, ZeroCapacityIsFatal)
 {
-    svc::GridCache cache(2, /*shards=*/16);
-    EXPECT_LE(cache.shardCount(), 2u);
     EXPECT_THROW(svc::GridCache(0), FatalError);
-    EXPECT_THROW(svc::GridCache(4, 0), FatalError);
 }
 
 TEST(GridCache, KeysIsolateEveryComponent)
@@ -79,6 +76,39 @@ TEST(GridCache, KeysIsolateEveryComponent)
     EXPECT_EQ(cache.find(keyOf(1, 2, 1)), nullptr);  // other space
     EXPECT_EQ(cache.find(keyOf(1, 1, 2)), nullptr);  // other config
     EXPECT_NE(cache.find(keyOf(1, 1, 1)), nullptr);
+}
+
+/** Sends every key to one bucket: only key equality tells them apart. */
+struct ConstantHash
+{
+    std::size_t operator()(const svc::GridKey &) const { return 7; }
+};
+
+TEST(LruCache, CollidingHashesKeepKeysDistinct)
+{
+    exec::LruCache<svc::GridKey, MeasuredGrid, ConstantHash> cache(
+        2, "test.colliding_cache.");
+    cache.insert(keyOf(1), dummyGrid("a"));
+    cache.insert(keyOf(2), dummyGrid("b"));
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.find(keyOf(3)), nullptr);
+
+    // Re-inserting one key replaces its own value only.
+    cache.insert(keyOf(1), dummyGrid("a2"));
+    ASSERT_NE(cache.find(keyOf(1)), nullptr);
+    EXPECT_EQ(cache.find(keyOf(1))->workload(), "a2");
+    ASSERT_NE(cache.find(keyOf(2)), nullptr);
+    EXPECT_EQ(cache.find(keyOf(2))->workload(), "b");
+
+    // Key 1 is now least recently used: a third key evicts it alone.
+    cache.insert(keyOf(3), dummyGrid("c"));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.find(keyOf(1)), nullptr);
+    ASSERT_NE(cache.find(keyOf(2)), nullptr);
+    EXPECT_EQ(cache.find(keyOf(2))->workload(), "b");
+    ASSERT_NE(cache.find(keyOf(3)), nullptr);
+    EXPECT_EQ(cache.find(keyOf(3))->workload(), "c");
+    EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(Fingerprint, StableAcrossIndependentConstruction)
