@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     ReproSuite suite(SystemConfig::paperDefault(),
                      std::max<std::size_t>(1, jobs));
-    StepSensitivity sensitivity(suite.runner());
+    StepSensitivity sensitivity(suite.service().runner());
     // Fans the per-sample cluster kernel of both characterizations
     // out; the table is bit-identical to the serial run.
     if (jobs > 0)

@@ -10,8 +10,9 @@
 #      and trace rings, trace enable/disable toggling, the telemetry
 #      sampler thread and SLO watchdog, the tuning daemon and its
 #      snapshot store, the streaming-resume path, the snapshot
-#      corruption fuzz, the three-domain daemon round-trip and the
-#      figure suite's side-by-side grid builds) — the
+#      corruption fuzz, the three-domain daemon round-trip, the
+#      figure suite's side-by-side grid builds and the two-stage
+#      characterization's fill/replay handoff) — the
 #      lock-free metric stripes, the strip CAS pop/steal protocol,
 #      the seqlock-protected trace slots, the cache/coalescing paths,
 #      the daemon's batcher/drain handoffs and the checkpoint store
@@ -66,9 +67,9 @@ if [ "$run_tsan" = 1 ]; then
         svc_analysis_cache_test core_incremental_analysis_test \
         daemon_streaming_test \
         daemon_snapshot_fuzz_test integration_gpu_test \
-        repro_suite_test
+        repro_suite_test sim_characterize_stages_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|LruCache|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|ReproSuite|GridAnalyses'
+        -R 'ThreadPool|LruCache|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|ReproSuite|GridAnalyses|CharacterizeStages'
 fi
 
 echo "sanitize: all requested passes clean"

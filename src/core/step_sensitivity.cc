@@ -1,7 +1,6 @@
 #include "core/step_sensitivity.hh"
 
 #include "core/reference_analysis.hh"
-#include "sim/sample_simulator.hh"
 
 namespace mcdvfs
 {
@@ -75,9 +74,8 @@ StepSensitivity::compare(const WorkloadProfile &workload, double budget,
                          const SettingsSpace &fine)
 {
     // One characterization pass shared by both grids.
-    SampleSimulator simulator(runner_.config().sampler);
     const std::vector<SampleProfile> profiles =
-        simulator.characterize(workload);
+        runner_.characterize(workload);
 
     const MeasuredGrid coarse_grid = runner_.runWithProfiles(
         workload.name(), profiles, coarse,

@@ -20,7 +20,7 @@ ReproSuite::serviceOptions(std::size_t jobs)
 
 ReproSuite::ReproSuite(const SystemConfig &config, std::size_t jobs)
     : coarse_(SettingsSpace::coarse()),
-      service_(config, serviceOptions(jobs)), runner_(config)
+      service_(config, serviceOptions(jobs))
 {
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/grid_runner.hh"
 #include "svc/characterization_service.hh"
 
 namespace mcdvfs
@@ -65,9 +64,6 @@ class ReproSuite
      */
     void characterize(const std::vector<std::string> &workloads);
 
-    /** The configured grid runner (for fine-grid experiments). */
-    GridRunner &runner() { return runner_; }
-
     /** The underlying service (batched tuning, cache statistics). */
     svc::CharacterizationService &service() { return service_; }
 
@@ -77,7 +73,6 @@ class ReproSuite
 
     SettingsSpace coarse_;
     svc::CharacterizationService service_;
-    GridRunner runner_;
     /** Pins served grids so grid()'s references outlive cache churn. */
     std::map<std::string, std::shared_ptr<const MeasuredGrid>> pinned_;
 };

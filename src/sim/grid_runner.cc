@@ -130,25 +130,26 @@ GridRunner::GridRunner(const SystemConfig &config)
 {
 }
 
+std::vector<SampleProfile>
+GridRunner::characterize(const WorkloadProfile &workload) const
+{
+    // The simulator's cache state is freed on return, before a grid
+    // kernel runs.
+    SampleSimulator simulator(config_.sampler);
+    simulator.setProfileCache(profileCache_);
+    simulator.setThreadPool(pool_);
+    obs::TraceSpan characterize_span("sim.characterize");
+    const obs::Clock::time_point characterize_start = obs::metricsNow();
+    std::vector<SampleProfile> profiles = simulator.characterize(workload);
+    gridMetrics().characterizeNs.add(obs::elapsedNs(characterize_start));
+    gridMetrics().warmupNs.add(simulator.lastCharacterizeStats().warmupNs);
+    return profiles;
+}
+
 MeasuredGrid
 GridRunner::run(const WorkloadProfile &workload, const SettingsSpace &space)
 {
-    std::vector<SampleProfile> profiles;
-    {
-        // Scoped so the simulator's cache state is freed before the
-        // grid kernel runs.
-        SampleSimulator simulator(config_.sampler);
-        simulator.setProfileCache(profileCache_);
-        obs::TraceSpan characterize_span("sim.characterize");
-        const obs::Clock::time_point characterize_start =
-            obs::metricsNow();
-        profiles = simulator.characterize(workload);
-        gridMetrics().characterizeNs.add(
-            obs::elapsedNs(characterize_start));
-        gridMetrics().warmupNs.add(
-            simulator.lastCharacterizeStats().warmupNs);
-    }
-    return runWithProfiles(workload.name(), profiles, space,
+    return runWithProfiles(workload.name(), characterize(workload), space,
                            workload.modeledInstructionsPerSample());
 }
 

@@ -80,6 +80,15 @@ class GridRunner
                      const SettingsSpace &space);
 
     /**
+     * Characterize @c workload: a fresh SampleSimulator with this
+     * runner's profile cache and pool (the fill helper, see
+     * SampleSimulator::setThreadPool), timed into
+     * sim.grid.characterize_ns and sim.grid.warmup_ns.
+     */
+    std::vector<SampleProfile> characterize(
+        const WorkloadProfile &workload) const;
+
+    /**
      * Build a grid from pre-computed profiles (used when comparing
      * settings spaces over the same characterization, Fig. 12).
      */
@@ -90,11 +99,12 @@ class GridRunner
 
     /**
      * Fan the per-setting model evaluation out over @c pool (non-owning;
-     * nullptr restores the serial loop).  The characterization pass
-     * stays single-pass either way, and every cell — including its
-     * deterministic measurement noise — is a pure function of (workload,
-     * sample, setting), so the parallel grid is bit-identical to the
-     * serial one regardless of worker count or scheduling.
+     * nullptr restores the serial loop), and lend characterize() a
+     * fill helper from it.  Profiles are bit-identical either way, and
+     * every cell — including its deterministic measurement noise — is
+     * a pure function of (workload, sample, setting), so the parallel
+     * grid is bit-identical to the serial one regardless of worker
+     * count or scheduling.
      */
     void setThreadPool(exec::ThreadPool *pool) { pool_ = pool; }
 

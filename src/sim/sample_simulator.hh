@@ -9,6 +9,15 @@
  * frequency-independent rates in a SampleProfile.  Cache and DRAM bank
  * state persist across samples (warm), only the counters reset, as in
  * the paper's continuous gem5 runs.
+ *
+ * It runs in two stages over a list of pieces (one warm-up chunk or
+ * one sample each): a fill generates a block of a piece's stream and
+ * keeps only its loads and stores, and a replay pushes the blocks, in
+ * piece order, through the hierarchy.  A fill is a pure function of
+ * its piece, so with a thread pool attached one pool worker fills
+ * ahead while the calling thread fills and replays (docs/PERF.md
+ * "Two-stage characterization").  Results are bit-identical with or
+ * without the pool.
  */
 
 #ifndef MCDVFS_SIM_SAMPLE_SIMULATOR_HH
@@ -70,6 +79,11 @@ struct SampleSimulatorConfig
 
 class ProfileCache;
 
+namespace exec
+{
+class ThreadPool;
+}
+
 /** Runs the characterization pass over a workload. */
 class SampleSimulator
 {
@@ -82,7 +96,9 @@ class SampleSimulator
         /**
          * Nanoseconds of unrecorded warm-up: the sequential warm-up, or
          * the canonical warm-ups of every cache miss (0 in builds
-         * without metrics).  Timed once per warm-up block.
+         * without metrics).  Wall time on the calling thread, from the
+         * end of the piece before a warm-up run to the end of its last
+         * chunk's replay.
          */
         std::uint64_t warmupNs = 0;
     };
@@ -100,6 +116,15 @@ class SampleSimulator
      * but are identical for every repeated phase.
      */
     void setProfileCache(ProfileCache *cache) { cache_ = cache; }
+
+    /**
+     * Fill on one worker of @c pool while characterize() replays
+     * (nullptr, the default, runs both stages on the calling thread;
+     * not owned, must outlive the simulator).  The helper is one
+     * parallelFor() task: when no worker is free, or the pool is
+     * draining, the calling thread does all the work alone.
+     */
+    void setThreadPool(exec::ThreadPool *pool) { pool_ = pool; }
 
     /**
      * Characterize every sample of @c workload.
@@ -132,35 +157,25 @@ class SampleSimulator
     }
 
   private:
-    /** Run @c instructions of @c spec through the warm hierarchy. */
-    SampleProfile runSample(const PhaseSpec &spec, std::uint64_t seed,
-                            Count instructions);
-
-    /**
-     * Reset, run the canonical warmup for @c spec, then measure: the
-     * result depends only on the arguments and the sampler config.
-     */
-    SampleProfile characterizeCanonical(const PhaseSpec &spec,
-                                        std::uint64_t seed,
-                                        Count instructions);
-
     /** Historical warm-state characterization (cache detached). */
     std::vector<SampleProfile> characterizeSequential(
         const WorkloadProfile &workload);
 
     /**
-     * Push @c instructions from @c source through the hierarchy, one
-     * virtual next() each (recorded traces and other sources).
+     * Canonical characterization (cache attached): every miss resets
+     * the hierarchy, runs the canonical warm-up for its phase, then
+     * measures, so the result depends only on the key.
      */
-    SampleProfile profileFromSource(TraceSource &source,
-                                    Count instructions,
-                                    const PhaseSpec &meta);
+    std::vector<SampleProfile> characterizeCanonical(
+        const WorkloadProfile &workload);
 
     SampleSimulatorConfig config_;
     CacheHierarchy hierarchy_;
     DramDevice dram_;
     /** Memoization cache; nullptr = historical sequential mode. */
     ProfileCache *cache_ = nullptr;
+    /** Pool lending the fill helper; nullptr = calling thread only. */
+    exec::ThreadPool *pool_ = nullptr;
     /** Precomputed config().profileFingerprint(). */
     std::uint64_t configKey_ = 0;
     CharacterizeStats lastStats_;

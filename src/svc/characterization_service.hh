@@ -224,6 +224,13 @@ class CharacterizationService
     /** The pool grid builds and batches fan out over. */
     exec::ThreadPool &pool() { return pool_; }
 
+    /**
+     * The runner every build goes through: this service's pool and
+     * profile cache (for callers composing their own grids from one
+     * characterization, such as StepSensitivity).
+     */
+    GridRunner &runner() { return runner_; }
+
   private:
     /** Grid lookup that also reports whether a build was skipped. */
     std::shared_ptr<const MeasuredGrid> gridFor(

@@ -5,6 +5,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "trace/trace_generator.hh"
 
 namespace mcdvfs
 {
@@ -40,6 +41,14 @@ PhaseSpec::validate() const
     // The trace generator addresses each tier in 8-byte words.
     if (hotBytes < 8 || warmBytes < 8 || coldBytes < 8)
         fatal("phase '", name, "': footprint sizes must be >= 8 bytes");
+    // Characterization packs each access into 32 bits, so every tier
+    // must end at or below 2^32.
+    constexpr std::uint64_t kTop = 1ull << 32;
+    if (hotBytes > kTop - TraceGenerator::kHotBase ||
+        warmBytes > kTop - TraceGenerator::kWarmBase ||
+        coldBytes > kTop - TraceGenerator::kColdBase)
+        fatal("phase '", name,
+              "': a footprint tier extends past the 32-bit address space");
 }
 
 std::uint64_t

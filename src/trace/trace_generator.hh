@@ -33,11 +33,12 @@ namespace mcdvfs
 /**
  * Streaming generator of synthetic instructions for one phase.
  *
- * Every path — the virtual next(), generate() and run() — draws from
- * draw(), so all three yield the same stream.  run() is the fast one:
- * it hands each instruction to a consumer inlined into the same loop,
- * with the generator state in locals (docs/PERF.md "Characterization
- * loop").
+ * Every path — the virtual next(), generate(), run() and fill() —
+ * draws from draw(), so all of them yield the same stream.  run() is
+ * the fast one: it hands each instruction to a consumer inlined into
+ * the same loop, with the generator state in locals (docs/PERF.md
+ * "Characterization loop").  fill() is run() into a compact buffer of
+ * memory accesses, the first stage of characterization.
  */
 class TraceGenerator : public TraceSource
 {
@@ -81,6 +82,39 @@ class TraceGenerator : public TraceSource
             sink(draw(rng, cursor));
         rng_ = rng;
         coldCursor_ = cursor;
+    }
+
+    /** Store flag of a packed access; addresses are 8-byte aligned. */
+    static constexpr std::uint32_t kStoreBit = 1;
+
+    /** What fill() wrote. */
+    struct Fill
+    {
+        std::size_t accesses = 0;  ///< loads and stores written
+        Count gpuKicks = 0;        ///< GPU kicks among the instructions
+    };
+
+    /**
+     * Generate the next @c n instructions, keeping only the loads and
+     * stores: out[i] = addr | (store ? kStoreBit : 0), in stream
+     * order.  Every address fits in 32 bits (PhaseSpec::validate keeps
+     * each tier below 2^32).  @c out must have room for @c n entries.
+     * The write sits behind the draw's own memory-or-not branch: an
+     * unconditional write per instruction measured ~5% slower.
+     */
+    Fill
+    fill(Count n, std::uint32_t *out)
+    {
+        Fill f;
+        run(n, [&f, out](const InstrRecord &rec) {
+            if (isMemory(rec.kind))
+                out[f.accesses++] =
+                    static_cast<std::uint32_t>(rec.addr) |
+                    (rec.kind == InstrKind::Store ? kStoreBit : 0u);
+            else
+                f.gpuKicks += rec.kind == InstrKind::GpuKick;
+        });
+        return f;
     }
 
     /** The phase being generated. */

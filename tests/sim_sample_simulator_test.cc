@@ -171,12 +171,13 @@ TEST(SampleSimulator, CharacterizeOneResetsState)
 }
 
 /**
- * The fused generate->replay loop (characterizeOne) and the virtual
+ * The generator's packed fills (characterizeOne) and the virtual
  * TraceSource path (characterizeTrace over the same generator) give
  * the same profile bit for bit, on both hierarchies and on CPU,
- * memory-bound, GPU-kick and all-kinds phases.
+ * memory-bound, GPU-kick and all-kinds phases.  60k instructions end
+ * part-way through a block on both paths.
  */
-TEST(SampleSimulator, FusedLoopMatchesVirtualSourcePath)
+TEST(SampleSimulator, PackedFillsMatchVirtualSourcePath)
 {
     PhaseSpec kick = cpuBoundPhase();
     kick.name = "kick";
@@ -194,10 +195,10 @@ TEST(SampleSimulator, FusedLoopMatchesVirtualSourcePath)
         config.hierarchy.nextLinePrefetch = prefetch;
         for (const PhaseSpec &spec :
              {cpuBoundPhase(), memBoundPhase(), kick, mixed}) {
-            SampleSimulator fused(config);
+            SampleSimulator packed(config);
             SampleSimulator virtual_path(config);
             TraceGenerator gen(spec, 31);
-            const SampleProfile a = fused.characterizeOne(spec, 31, 60'000);
+            const SampleProfile a = packed.characterizeOne(spec, 31, 60'000);
             const SampleProfile b =
                 virtual_path.characterizeTrace(gen, 60'000, spec);
             EXPECT_EQ(test::profileBits(a), test::profileBits(b))

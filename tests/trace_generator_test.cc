@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <vector>
 
@@ -238,6 +240,18 @@ coldSequentialSpec()
     return spec;
 }
 
+/** Mostly cold and all random: coldSeqFrac 0. */
+PhaseSpec
+coldRandomSpec()
+{
+    PhaseSpec spec = testSpec();
+    spec.name = "coldrandom";
+    spec.hotFrac = 0.3;
+    spec.warmFrac = 0.1;
+    spec.coldSeqFrac = 0.0;
+    return spec;
+}
+
 class TraceGeneratorPaths : public ::testing::TestWithParam<PhaseSpec>
 {
 };
@@ -294,10 +308,54 @@ TEST_P(TraceGeneratorPaths, RunNextAndGenerateAgree)
     EXPECT_EQ(by_run.next().addr, by_next.next().addr);
 }
 
+/**
+ * fill() keeps exactly run()'s loads and stores, in order, with the
+ * store flag in bit 0, and counts its GPU kicks; runs of fills of any
+ * length (1,000 and 4,097 instructions among them) continue one
+ * stream.
+ */
+TEST_P(TraceGeneratorPaths, FillKeepsRunMemoryStream)
+{
+    const Count n = 40'000;
+    TraceGenerator by_run(GetParam(), 9);
+    std::vector<std::uint32_t> want;
+    Count want_kicks = 0;
+    by_run.run(n, [&](const InstrRecord &rec) {
+        want_kicks += rec.kind == InstrKind::GpuKick;
+        if (isMemory(rec.kind)) {
+            ASSERT_LT(rec.addr, 1ull << 32);
+            ASSERT_EQ(rec.addr % TraceGenerator::kAccessBytes, 0u);
+            want.push_back(static_cast<std::uint32_t>(rec.addr) |
+                           (rec.kind == InstrKind::Store ? 1u : 0u));
+        }
+    });
+
+    for (const Count block : {Count{4'096}, Count{1'000}, Count{4'097},
+                              Count{40'000}}) {
+        TraceGenerator by_fill(GetParam(), 9);
+        std::vector<std::uint32_t> got(n);
+        std::size_t accesses = 0;
+        Count kicks = 0;
+        for (Count done = 0; done < n; done += std::min(block, n - done)) {
+            const TraceGenerator::Fill f =
+                by_fill.fill(std::min(block, n - done), got.data() + accesses);
+            accesses += f.accesses;
+            kicks += f.gpuKicks;
+        }
+        got.resize(accesses);
+        EXPECT_EQ(got, want) << "block " << block;
+        EXPECT_EQ(kicks, want_kicks) << "block " << block;
+        // The generator continues where run() would.
+        EXPECT_EQ(by_fill.next().addr, TraceGenerator(by_run).next().addr);
+    }
+    EXPECT_EQ(want_kicks > 0, GetParam().gpuKickFrac > 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Phases, TraceGeneratorPaths,
                          ::testing::Values(testSpec(), gpuKickSpec(),
                                            noColdSpec(),
-                                           coldSequentialSpec()),
+                                           coldSequentialSpec(),
+                                           coldRandomSpec()),
                          [](const auto &info) { return info.param.name; });
 
 /**

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "trace/phase.hh"
+#include "trace/trace_generator.hh"
 
 namespace mcdvfs
 {
@@ -60,6 +61,28 @@ TEST(PhaseSpec, RejectsZeroFootprint)
     PhaseSpec spec;
     spec.hotBytes = 0;
     EXPECT_THROW(spec.validate(), FatalError);
+}
+
+/**
+ * Characterization packs each access into 32 bits: a tier may end at
+ * 2^32 but not past it.
+ */
+TEST(PhaseSpec, RejectsTierPast32BitAddresses)
+{
+    PhaseSpec spec;
+    spec.coldBytes = (1ull << 32) - TraceGenerator::kColdBase;
+    EXPECT_NO_THROW(spec.validate());
+    spec.coldBytes += 8;
+    EXPECT_THROW(spec.validate(), FatalError);
+    spec.coldBytes = 4ull << 30;
+    EXPECT_THROW(spec.validate(), FatalError);
+
+    PhaseSpec hot;
+    hot.hotBytes = (1ull << 32) - TraceGenerator::kHotBase + 1;
+    EXPECT_THROW(hot.validate(), FatalError);
+    PhaseSpec warm;
+    warm.warmBytes = (1ull << 32) - TraceGenerator::kWarmBase + 1;
+    EXPECT_THROW(warm.validate(), FatalError);
 }
 
 TEST(PhaseSpec, ColdFracIsRemainder)
