@@ -6,8 +6,7 @@
  * Every cluster figure evaluates a cross product of inefficiency
  * budgets and cluster thresholds over one grid.  The helpers here
  * build the sweep points in panel order, run them through
- * AnalysisSweep (optionally fanned over a thread pool — bit-identical
- * to serial), and render the per-sample cluster-extent panels of
+ * AnalysisSweep, and render the per-sample cluster-extent panels of
  * Figs. 4/5.
  */
 
@@ -21,9 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/table.hh"
 #include "core/analysis_sweep.hh"
-#include "exec/thread_pool.hh"
 #include "repro/analyses.hh"
 #include "repro/suite.hh"
 
@@ -103,20 +102,36 @@ printClusterPanel(const MeasuredGrid &grid, GridAnalyses &a,
 }
 
 /**
- * Render the full four-panel figure for one workload: budgets
- * {1.0, 1.3} x thresholds {1%, 5%}.  @c pool optionally fans the
- * sweep's per-sample kernel out (bit-identical to serial).
+ * main() of a one-workload cluster figure (Figs. 4/5): the four panels
+ * of @c workload, budgets {1.0, 1.3} x thresholds {1%, 5%}.  The grid
+ * build and the sweep's per-sample kernel run on the suite's pool.
+ * --jobs N sizes it; absent or 0, it takes one worker fewer than the
+ * CPUs the process may run on.  Output is bit-identical at any size.
  */
-inline void
-printClusterPanels(ReproSuite &suite, const std::string &workload,
-                   exec::ThreadPool *pool = nullptr)
+inline int
+clusterFigureMain(int argc, char **argv, const char *binary,
+                  const std::string &workload)
 {
+    ArgParser args(binary);
+    args.addOption("jobs");
+    std::size_t jobs = 0;
+    try {
+        args.parse(argc, argv);
+        jobs = static_cast<std::size_t>(args.getInt("jobs", 0, 0, 1024));
+    } catch (const FatalError &err) {
+        std::cerr << "error: " << err.what() << '\n';
+        return 2;
+    }
+
+    ReproSuite suite(SystemConfig::paperDefault(), jobs);
     const MeasuredGrid &grid = suite.grid(workload);
     GridAnalyses a(grid);
     AnalysisSweep sweep(a.clusters);
     for (const SweepResult &result :
-         sweep.run(sweepGrid({1.0, 1.3}, {0.01, 0.05}), pool))
+         sweep.run(sweepGrid({1.0, 1.3}, {0.01, 0.05}),
+                   &suite.service().pool()))
         printClusterPanel(grid, a, result);
+    return 0;
 }
 
 } // namespace mcdvfs

@@ -8,33 +8,15 @@
  * stays tightly bound while the cluster spans a wide range of memory
  * frequencies (small performance difference across memory settings).
  *
- * --jobs N fans the sweep's per-sample cluster kernel over the suite's
- * thread pool (output is bit-identical to the serial run).
+ * --jobs N sizes the pool the grid and the sweep run on; absent or 0,
+ * it takes one worker fewer than the allowed CPUs (clusterFigureMain).
  */
 
-#include <algorithm>
-#include <iostream>
-
 #include "cluster_panels.hh"
-#include "common/args.hh"
 
 int
 main(int argc, char **argv)
 {
-    mcdvfs::ArgParser args("fig05_clusters_milc");
-    args.addOption("jobs");
-    std::size_t jobs = 0;
-    try {
-        args.parse(argc, argv);
-        jobs = static_cast<std::size_t>(args.getInt("jobs", 0, 0, 1024));
-    } catch (const mcdvfs::FatalError &err) {
-        std::cerr << "error: " << err.what() << '\n';
-        return 2;
-    }
-
-    mcdvfs::ReproSuite suite(mcdvfs::SystemConfig::paperDefault(),
-                             std::max<std::size_t>(1, jobs));
-    mcdvfs::printClusterPanels(
-        suite, "milc", jobs > 0 ? &suite.service().pool() : nullptr);
-    return 0;
+    return mcdvfs::clusterFigureMain(argc, argv, "fig05_clusters_milc",
+                                     "milc");
 }

@@ -11,12 +11,11 @@
  * Each row is a box-plot five-number summary (min / Q1 / median / Q3 /
  * max) of region lengths in samples.  The six grids build side by
  * side on the suite's pool, and the twelve-point sweeps run through
- * AnalysisSweep; --jobs N sizes that pool and fans the per-sample
- * cluster kernel over it too (output is bit-identical to the serial
- * run).
+ * AnalysisSweep on it too.  --jobs N sizes that pool; absent or 0, it
+ * takes one worker fewer than the allowed CPUs.  Output is
+ * bit-identical at any size.
  */
 
-#include <algorithm>
 #include <iostream>
 
 #include "cluster_panels.hh"
@@ -64,9 +63,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ReproSuite suite(SystemConfig::paperDefault(),
-                     std::max<std::size_t>(1, jobs));
-    exec::ThreadPool *pool = jobs > 0 ? &suite.service().pool() : nullptr;
+    ReproSuite suite(SystemConfig::paperDefault(), jobs);
+    exec::ThreadPool *pool = &suite.service().pool();
     suite.characterize(ReproSuite::benchmarkNames());
 
     // Panels (a) and (b): per-benchmark budget sweep.

@@ -10,9 +10,12 @@
  * same or shrinks; the performance gain with free tuning is below 1%
  * because the coarse optimum is only a few MHz off; the tuning-
  * overhead/search-space balance decides the right granularity.
+ *
+ * --jobs N sizes the suite's pool that both grids and both cluster
+ * sweeps run on; absent or 0, it takes one worker fewer than the
+ * allowed CPUs.  Output is bit-identical at any size.
  */
 
-#include <algorithm>
 #include <iostream>
 
 #include "common/args.hh"
@@ -41,13 +44,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ReproSuite suite(SystemConfig::paperDefault(),
-                     std::max<std::size_t>(1, jobs));
+    ReproSuite suite(SystemConfig::paperDefault(), jobs);
     StepSensitivity sensitivity(suite.service().runner());
     // Fans the per-sample cluster kernel of both characterizations
     // out; the table is bit-identical to the serial run.
-    if (jobs > 0)
-        sensitivity.setThreadPool(&suite.service().pool());
+    sensitivity.setThreadPool(&suite.service().pool());
     const StepSensitivityResult result = sensitivity.compare(
         workloadByName("gobmk"), budget, threshold,
         SettingsSpace::coarse(), SettingsSpace::fine());

@@ -10,9 +10,10 @@
  * prepare-heavy frames widen the CPU band, which is the structure the
  * budget arbiter's priority variants act on.
  *
- * --jobs N fans the sweep's per-sample kernel over a thread pool
- * (bit-identical to serial); --tiny shrinks the workload for smoke
- * runs.
+ * --jobs N sizes the pool that the grid build and the sweep run on;
+ * absent or 0, it takes one worker fewer than the allowed CPUs.
+ * Output is bit-identical at any size.  --tiny shrinks the workload
+ * for smoke runs.
  */
 
 #include <algorithm>
@@ -123,7 +124,10 @@ main(int argc, char **argv)
     using Fig13Clock = std::chrono::steady_clock;
     SystemConfig config;
     config.sampler.simInstructionsPerSample = tiny ? 20'000 : 100'000;
+    exec::ThreadPool pool(jobs > 0 ? jobs
+                                    : exec::ThreadPool::defaultWorkers());
     GridRunner runner(config);
+    runner.setThreadPool(&pool);
     const auto grid_start = Fig13Clock::now();
     const MeasuredGrid grid = runner.run(
         tiny ? tinyRenderWorkload() : makeGlrender(),
@@ -137,14 +141,8 @@ main(int argc, char **argv)
     const std::vector<SweepPoint> points =
         sweepGrid({1.0, 1.3}, {0.01, 0.05});
     const auto sweep_start = Fig13Clock::now();
-    if (jobs > 0) {
-        exec::ThreadPool pool(jobs);
-        for (const SweepResult &result : sweep.run(points, &pool))
-            printGpuClusterPanel(grid, a, result);
-    } else {
-        for (const SweepResult &result : sweep.run(points))
-            printGpuClusterPanel(grid, a, result);
-    }
+    for (const SweepResult &result : sweep.run(points, &pool))
+        printGpuClusterPanel(grid, a, result);
     const double sweep_seconds =
         std::chrono::duration<double>(Fig13Clock::now() - sweep_start)
             .count();
@@ -158,7 +156,7 @@ main(int argc, char **argv)
         build.kernel = "grid";
         build.settings = grid.settingCount();
         build.samples = grid.sampleCount();
-        build.jobs = 0; // the GridRunner sweep is serial here
+        build.jobs = pool.size();
         build.buildSeconds = grid_seconds;
         build.cellsPerSec = grid_seconds > 0 ? cells / grid_seconds : 0;
         records.push_back(build);
@@ -167,7 +165,7 @@ main(int argc, char **argv)
         panels.kernel = "sweep";
         panels.settings = grid.settingCount();
         panels.samples = grid.sampleCount();
-        panels.jobs = jobs;
+        panels.jobs = pool.size();
         panels.buildSeconds = sweep_seconds;
         panels.cellsPerSec =
             sweep_seconds > 0

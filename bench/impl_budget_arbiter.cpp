@@ -31,6 +31,7 @@
 #include "common/args.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "exec/thread_pool.hh"
 #include "repro/analyses.hh"
 #include "runtime/budget_arbiter.hh"
 #include "runtime/inefficiency_governor.hh"
@@ -195,7 +196,9 @@ main(int argc, char **argv)
 
     SystemConfig config;
     config.sampler.simInstructionsPerSample = tiny ? 20'000 : 100'000;
+    exec::ThreadPool pool(exec::ThreadPool::defaultWorkers());
     GridRunner runner(config);
+    runner.setThreadPool(&pool);
     const MeasuredGrid grid = runner.run(
         tiny ? tinyRenderWorkload() : makeGlrender(),
         SettingsSpace::coarse3());

@@ -16,11 +16,11 @@
  * journal of every (benchmark, policy) run as JSONL (schema
  * mcdvfs-trace-v1; see docs/OBSERVABILITY.md).
  *
- * --jobs N spreads grid characterization and the per-sample cluster
- * kernel over a thread pool (results are bit-identical to serial).
+ * --jobs N sizes the suite's pool that grid characterization and the
+ * per-sample cluster kernel run on; absent or 0, it takes one worker
+ * fewer than the allowed CPUs.  Results are bit-identical at any size.
  */
 
-#include <algorithm>
 #include <iostream>
 
 #include "common/args.hh"
@@ -54,9 +54,8 @@ main(int argc, char **argv)
     obs::DecisionJournal journal;
     const bool journaling = args.has("journal");
 
-    ReproSuite suite(SystemConfig::paperDefault(),
-                     std::max<std::size_t>(1, jobs));
-    exec::ThreadPool *pool = jobs > 0 ? &suite.service().pool() : nullptr;
+    ReproSuite suite(SystemConfig::paperDefault(), jobs);
+    exec::ThreadPool *pool = &suite.service().pool();
     suite.characterize(ReproSuite::benchmarkNames());
 
     Table table({"benchmark", "policy", "events", "transitions",

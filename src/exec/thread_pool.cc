@@ -1,5 +1,7 @@
 #include "exec/thread_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 
@@ -268,7 +270,17 @@ ThreadPool::~ThreadPool()
 std::size_t
 ThreadPool::defaultThreads()
 {
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+std::size_t
+ThreadPool::defaultWorkers()
+{
+    return std::max<std::size_t>(1, defaultThreads() - 1);
 }
 
 void

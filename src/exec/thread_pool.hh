@@ -61,10 +61,17 @@ class ThreadPool
     std::size_t size() const { return workers_.size(); }
 
     /**
-     * A sensible default worker count for this machine (hardware
-     * concurrency, at least 1).
+     * CPUs this process may run on: the size of its affinity mask
+     * (what `nproc` prints), at least 1.
      */
     static std::size_t defaultThreads();
+
+    /**
+     * Workers that, with the calling thread taking part in every
+     * parallelFor(), occupy each CPU defaultThreads() counts:
+     * defaultThreads() - 1, at least 1.
+     */
+    static std::size_t defaultWorkers();
 
     /**
      * Run @c fn on a worker; the returned future carries its result or

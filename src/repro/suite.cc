@@ -11,7 +11,7 @@ svc::CharacterizationService::Options
 ReproSuite::serviceOptions(std::size_t jobs)
 {
     svc::CharacterizationService::Options options;
-    options.jobs = jobs;
+    options.jobs = jobs > 0 ? jobs : exec::ThreadPool::defaultWorkers();
     // Comfortable room for the full extended workload set over both
     // the coarse and fine spaces.
     options.cacheCapacity = 32;

@@ -30,14 +30,16 @@ class ReproSuite
   public:
     /**
      * @param config system configuration shared by every grid
-     * @param jobs worker threads of the service's pool (0 is promoted
-     *        to 1).  Grid builds and characterize() run on the calling
-     *        thread plus these workers; results are bit-identical at
-     *        any count.
+     * @param jobs worker threads of the service's pool; 0 (the
+     *        default) means exec::ThreadPool::defaultWorkers(), so the
+     *        workers plus the calling thread fill the CPUs the process
+     *        may run on.  Grid builds and characterize() run on the
+     *        calling thread plus these workers; results are
+     *        bit-identical at any count.
      */
     explicit ReproSuite(const SystemConfig &config =
                             SystemConfig::paperDefault(),
-                        std::size_t jobs = 1);
+                        std::size_t jobs = 0);
 
     /** The paper's six benchmarks in reporting order. */
     static const std::vector<std::string> &benchmarkNames();

@@ -1,11 +1,14 @@
 /**
  * @file
  * ThreadPool tests: futures, exception propagation, parallelFor
- * coverage, nesting, and a many-small-tasks stress run.
+ * coverage, nesting, a many-small-tasks stress run, and the default
+ * sizing rule.
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -120,6 +123,20 @@ TEST(ThreadPool, StressManySmallTasks)
     for (auto &future : futures)
         future.get();
     EXPECT_EQ(sum.load(), 2'000ull * 2'001ull / 2ull);
+}
+
+TEST(ThreadPool, DefaultThreadsCountsAffinityMask)
+{
+    // Reads the mask only; the test process keeps its affinity.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    const std::size_t allowed = static_cast<std::size_t>(CPU_COUNT(&set));
+    EXPECT_GE(exec::ThreadPool::defaultThreads(), 1u);
+    EXPECT_EQ(exec::ThreadPool::defaultThreads(),
+              std::max<std::size_t>(1, allowed));
+    EXPECT_EQ(exec::ThreadPool::defaultWorkers(),
+              std::max<std::size_t>(1, allowed - 1));
 }
 
 } // namespace

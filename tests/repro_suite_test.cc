@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -82,13 +84,27 @@ expectGridsIdentical(const MeasuredGrid &a, const MeasuredGrid &b)
     }
 }
 
+TEST(ReproSuite, DefaultPoolUsesAllowedCpus)
+{
+    ReproSuite suite(fastConfig());
+    EXPECT_EQ(suite.service().jobs(),
+              std::max<std::size_t>(
+                  1, exec::ThreadPool::defaultThreads() - 1));
+    // --jobs N still sets the worker count exactly.
+    EXPECT_EQ(ReproSuite(fastConfig(), 3).service().jobs(), 3u);
+}
+
 TEST(ReproSuite, CharacterizeMatchesSerialGrids)
 {
     ReproSuite serial(fastConfig(), 1);
     ReproSuite side_by_side(fastConfig(), 3);
+    ReproSuite by_default(fastConfig());
     side_by_side.characterize(ReproSuite::benchmarkNames());
-    for (const std::string &name : ReproSuite::benchmarkNames())
+    by_default.characterize(ReproSuite::benchmarkNames());
+    for (const std::string &name : ReproSuite::benchmarkNames()) {
         expectGridsIdentical(side_by_side.grid(name), serial.grid(name));
+        expectGridsIdentical(by_default.grid(name), serial.grid(name));
+    }
 }
 
 TEST(ReproSuite, CharacterizeSkipsPinnedAndDuplicates)
